@@ -9,14 +9,17 @@
 // meet (intersection), leq the componentwise order. Backends differ in how
 // they *represent* the vector, not in what it means:
 //
-//   VectorClock      dense std::vector — the default; every operation O(|P|)
-//   TreeClock        Fidge/Mattern values arranged as a tree recording who
-//                    learned what through whom, so monotone joins prune
-//                    whole already-known subtrees (arXiv 2201.06325)
-//   CompressedClock  dense values with delta/varint serialization for
-//                    bounded piggyback bytes on the wire (arXiv 1606.05962)
+//   VectorClock  dense std::vector — the default; every operation O(|P|)
+//   TreeClock    Fidge/Mattern values arranged as a tree recording who
+//                learned what through whom, so monotone joins prune whole
+//                already-known subtrees (arXiv 2201.06325)
 //
-// Semantic requirements beyond the signatures (verified for every backend
+// Serialization is not part of the concept: VectorClock::encode/decode is
+// the one absolute clock layout, and online/wire_codec the one delta codec
+// (bounded piggyback bytes after arXiv 1606.05962). Other backends reach
+// the wire through to_dense().
+//
+// Semantic requirements beyond the signatures (verified for both backends
 // by tests/clock_concept_test.cpp and the `clock_backend_identity`
 // conformance property):
 //   * merge_max / merge_min are commutative, associative, idempotent, and
@@ -32,17 +35,12 @@
 //     interpretation of the components);
 //   * to_dense() / from_dense() convert losslessly to the dense
 //     representation — the explicit conversion boundary for layers that
-//     stay dense (cuts/watermark componentwise-min, Cut materialization);
-//   * encode(out) appends a self-delimiting serialization that decode(in)
-//     parses back to an equal clock (in is consumed by reference, so
-//     encoded clocks concatenate).
+//     stay dense (cuts/watermark componentwise-min, Cut materialization,
+//     the wire).
 #pragma once
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
-#include <span>
-#include <vector>
 
 #include "model/types.hpp"
 #include "model/vector_clock.hpp"
@@ -53,8 +51,7 @@ template <typename C>
 concept ClockRep =
     std::regular<C> &&  // default-constructible, copyable, ==
     requires(C c, const C& cc, std::size_t i, ClockValue v,
-             const VectorClock& dense, std::vector<std::uint8_t>& bytes,
-             std::span<const std::uint8_t>& in) {
+             const VectorClock& dense) {
       C(std::size_t{}, ClockValue{});  // size, fill
       { cc.size() } -> std::convertible_to<std::size_t>;
       { cc.at(i) } -> std::convertible_to<ClockValue>;
@@ -67,8 +64,6 @@ concept ClockRep =
       { cc.incomparable(cc) } -> std::convertible_to<bool>;
       { cc.to_dense() } -> std::same_as<VectorClock>;
       { C::from_dense(dense) } -> std::same_as<C>;
-      { cc.encode(bytes) } -> std::same_as<void>;
-      { C::decode(in) } -> std::same_as<C>;
     };
 
 /// Canonical spelling of the lattice operations is the in-place member

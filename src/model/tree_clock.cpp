@@ -185,14 +185,6 @@ TreeClock TreeClock::from_dense(const VectorClock& dense) {
   return tc;
 }
 
-void TreeClock::encode(std::vector<std::uint8_t>& out) const {
-  to_dense().encode(out);  // wire format is shared across backends
-}
-
-TreeClock TreeClock::decode(std::span<const std::uint8_t>& in) {
-  return from_dense(VectorClock::decode(in));
-}
-
 bool operator==(const TreeClock& a, const TreeClock& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.nodes_.size(); ++i) {

@@ -19,8 +19,8 @@
 // The pruning argument is only valid for clocks whose components carry that
 // causal meaning. A TreeClock therefore tracks a `causal()` bit: the
 // all-ones floor construction (fill == 1), copies, tick() and merge_max()
-// of causal clocks keep it; any other fill, set(), merge_min(),
-// from_dense() and decode() clear it, demoting the clock to dense O(|P|)
+// of causal clocks keep it; any other fill, set(), merge_min() and
+// from_dense() clear it, demoting the clock to dense O(|P|)
 // fallback scans (still bit-identical in value to VectorClock — only the
 // cost model changes). This matches the paper's usage: the forward
 // (monotone) stamping sweep — floor, tick the owner, then join the
@@ -29,10 +29,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "model/types.hpp"
@@ -72,9 +70,6 @@ class TreeClock {
 
   VectorClock to_dense() const;
   static TreeClock from_dense(const VectorClock& dense);
-
-  void encode(std::vector<std::uint8_t>& out) const;
-  static TreeClock decode(std::span<const std::uint8_t>& in);
 
   /// True while the pruned-join fast path is valid (diagnostics/tests).
   bool causal() const { return causal_; }

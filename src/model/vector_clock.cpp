@@ -30,11 +30,6 @@ void VectorClock::tick(std::size_t i) {
   ++components_[i];
 }
 
-ClockValue& VectorClock::operator[](std::size_t i) {
-  SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
-  return components_[i];
-}
-
 void VectorClock::merge_max(const VectorClock& other) {
   SYNCON_REQUIRE(size() == other.size(), "merging clocks of different size");
   for (std::size_t i = 0; i < components_.size(); ++i) {
@@ -76,6 +71,9 @@ void VectorClock::encode(std::vector<std::uint8_t>& out) const {
 
 VectorClock VectorClock::decode(std::span<const std::uint8_t>& in) {
   const std::uint64_t n = decode_varint(in);
+  // Every component takes at least one byte, so a count beyond the input is
+  // malformed — reject it before it sizes an allocation.
+  SYNCON_REQUIRE(n <= in.size(), "clock component count exceeds the input");
   std::vector<ClockValue> values;
   values.reserve(n);
   std::int64_t prev = 0;

@@ -11,10 +11,7 @@
 //
 // Component access is the narrow read API: size() / at() for single
 // components, values() for a read-only span over the dense storage, set()
-// and tick() for writes. The legacy accessors — components() returning the
-// raw vector and the mutable operator[] returning a raw reference — are
-// deprecated (they force a backend to store a dense std::vector) and
-// forward to the new API; they will be removed next release.
+// and tick() for writes.
 #pragma once
 
 #include <cstddef>
@@ -51,11 +48,6 @@ class VectorClock {
   /// Read shorthand for at(i).
   ClockValue operator[](std::size_t i) const { return at(i); }
 
-  [[deprecated("use at()/values() — backends need not store a dense vector")]]
-  const std::vector<ClockValue>& components() const { return components_; }
-  [[deprecated("use set()/tick() instead of writing through a reference")]]
-  ClockValue& operator[](std::size_t i);
-
   /// this[i] = max(this[i], other[i]) for every i (Lemma 16, union of cuts).
   void merge_max(const VectorClock& other);
   /// this[i] = min(this[i], other[i]) for every i (Lemma 16, intersection).
@@ -75,7 +67,7 @@ class VectorClock {
   /// Appends a self-delimiting serialization: varint size, then each
   /// component as a zigzag varint delta from its left neighbor (stamped
   /// clocks have strongly correlated adjacent components, so deltas stay
-  /// short).
+  /// short). This is the one absolute clock layout on the wire and on disk.
   void encode(std::vector<std::uint8_t>& out) const;
   /// Consumes one encoded clock from the front of `in`.
   static VectorClock decode(std::span<const std::uint8_t>& in);

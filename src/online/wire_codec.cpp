@@ -1,5 +1,7 @@
 #include "online/wire_codec.hpp"
 
+#include <limits>
+
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "support/contracts.hpp"
@@ -10,6 +12,50 @@ namespace syncon {
 namespace {
 constexpr std::uint8_t kFull = 0;
 constexpr std::uint8_t kDelta = 1;
+
+// The `delta` clock layout of wire_codec.hpp: `clock` as a change-list
+// against `base`, the link's previous clock (same size).
+void encode_relative(const VectorClock& clock, const VectorClock& base,
+                     std::vector<std::uint8_t>& out) {
+  const std::span<const ClockValue> now = clock.values();
+  const std::span<const ClockValue> was = base.values();
+  std::uint64_t changed = 0;
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    if (now[i] != was[i]) ++changed;
+  }
+  encode_varint(changed, out);
+  std::uint64_t prev_index = 0;
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    if (now[i] == was[i]) continue;
+    encode_varint(static_cast<std::uint64_t>(i) - prev_index, out);
+    encode_signed_varint(
+        static_cast<std::int64_t>(now[i]) - static_cast<std::int64_t>(was[i]),
+        out);
+    prev_index = static_cast<std::uint64_t>(i);
+  }
+}
+
+// Reconstructs the clock encode_relative produced from the same base.
+VectorClock decode_relative(const VectorClock& base,
+                            std::span<const std::uint8_t>& in) {
+  std::vector<ClockValue> values(base.values().begin(), base.values().end());
+  const std::uint64_t changed = decode_varint(in);
+  SYNCON_REQUIRE(changed <= values.size(),
+                 "relative clock encoding lists more changes than components");
+  std::uint64_t index = 0;
+  for (std::uint64_t k = 0; k < changed; ++k) {
+    index += decode_varint(in);
+    SYNCON_REQUIRE(index < values.size(),
+                   "relative clock encoding indexes past the clock size");
+    const std::int64_t v =
+        static_cast<std::int64_t>(values[index]) + decode_signed_varint(in);
+    SYNCON_REQUIRE(v >= 0 && v <= static_cast<std::int64_t>(
+                                      std::numeric_limits<ClockValue>::max()),
+                   "decoded clock component out of range");
+    values[index] = static_cast<ClockValue>(v);
+  }
+  return VectorClock(std::move(values));
+}
 }  // namespace
 
 LinkEncoder::LinkEncoder(std::size_t process_count,
@@ -24,19 +70,18 @@ std::size_t LinkEncoder::encode(const WireMessage& message,
   SYNCON_REQUIRE(message.clock.size() == last_.size(),
                  "wire clock size does not match the link's process count");
   const std::size_t start = out.size();
-  const CompressedClock clock = CompressedClock::from_dense(message.clock);
   const bool full = since_full_ >= full_interval_;
   out.push_back(full ? kFull : kDelta);
   encode_varint(message.source.process, out);
   encode_varint(message.source.index, out);
   if (full) {
-    clock.encode(out);
+    message.clock.encode(out);
     since_full_ = 1;
   } else {
-    clock.encode_relative(last_, out);
+    encode_relative(message.clock, last_, out);
     ++since_full_;
   }
-  last_ = clock;
+  last_ = message.clock;
   const std::size_t frame_bytes = out.size() - start;
   if (obs::enabled()) {
     static obs::Histogram& bytes_per_message = obs::MetricRegistry::global()
@@ -68,7 +113,7 @@ WireMessage LinkDecoder::decode(std::span<const std::uint8_t>& in) {
       static_cast<ProcessId>(decode_varint(in));
   message.source.index = static_cast<EventIndex>(decode_varint(in));
   if (tag == kFull) {
-    CompressedClock decoded = CompressedClock::decode(in);
+    VectorClock decoded = VectorClock::decode(in);
     SYNCON_REQUIRE(decoded.size() == last_.size(),
                    "wire clock size does not match the link's process count");
     last_ = std::move(decoded);
@@ -78,9 +123,9 @@ WireMessage LinkDecoder::decode(std::span<const std::uint8_t>& in) {
     SYNCON_REQUIRE(synced_,
                    "delta frame before any full frame on this link — "
                    "request a resync or wait for the next full frame");
-    last_ = CompressedClock::decode_relative(last_, in);
+    last_ = decode_relative(last_, in);
   }
-  message.clock = last_.to_dense();  // the densify boundary
+  message.clock = last_;
   return message;
 }
 

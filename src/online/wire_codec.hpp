@@ -5,13 +5,17 @@
 // overhead, and the part that stops scaling when |P| grows. Between two
 // consecutive messages on the same FIFO link the sender's clock changes in
 // only a handful of components (its own, plus whatever causal fan-in it
-// absorbed since), so the codec ships each clock as a CompressedClock
-// change-list against the previous clock sent on that link:
+// absorbed since), so the codec ships each clock as a sparse change-list
+// against the previous clock sent on that link:
 //
 //   frame := tag:u8 (kFull | kDelta)
 //            varint(source.process) varint(source.index)
-//            clock bytes — absolute (tag kFull) or relative to the link's
-//            previous clock (tag kDelta)
+//            clock bytes — absolute (tag kFull, VectorClock::encode) or
+//            relative to the link's previous clock (tag kDelta)
+//   delta := varint(changed count)
+//            per changed component, in index order: varint(index gap from
+//            the previous changed index, or from 0) zigzag-varint(value
+//            minus the link's previous value)
 //
 // Every `full_interval`-th frame (and the first) is absolute, so a receiver
 // that lost codec state — or joined mid-stream via snapshot/resync — locks
@@ -21,9 +25,8 @@
 // (every frame absolute — still varint/delta-compressed column-wise, just
 // not chained).
 //
-// Decoding is the densify boundary: decode() hands back a WireMessage with
-// a dense VectorClock, so everything past the codec (gap tracking,
-// watermark minima, retention cuts) stays on the dense representation.
+// This is the project's only delta clock codec; VectorClock::encode is the
+// only absolute one.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +34,7 @@
 #include <span>
 #include <vector>
 
-#include "model/compressed_clock.hpp"
+#include "model/vector_clock.hpp"
 #include "online/online_system.hpp"
 
 namespace syncon {
@@ -52,7 +55,7 @@ class LinkEncoder {
   void reset() { since_full_ = full_interval_; }
 
  private:
-  CompressedClock last_;
+  VectorClock last_;
   std::uint32_t full_interval_;
   std::uint32_t since_full_;
 };
@@ -79,7 +82,7 @@ class LinkDecoder {
   bool synced() const { return synced_; }
 
  private:
-  CompressedClock last_;
+  VectorClock last_;
   bool synced_ = false;
 };
 

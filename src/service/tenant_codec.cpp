@@ -1,5 +1,6 @@
 #include "service/tenant_codec.hpp"
 
+#include "store/wal.hpp"
 #include "support/contracts.hpp"
 #include "support/crc32.hpp"
 #include "support/varint.hpp"
@@ -7,19 +8,6 @@
 namespace syncon::service {
 
 namespace {
-
-/// Wraps a finished payload in the envelope; returns the envelope size.
-std::size_t append_envelope(const std::vector<std::uint8_t>& payload,
-                            std::vector<std::uint8_t>& out) {
-  const std::size_t before = out.size();
-  encode_varint(payload.size(), out);
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t checksum = crc32(payload);
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(checksum >> shift));
-  }
-  return out.size() - before;
-}
 
 void append_string(const std::string& s, std::vector<std::uint8_t>& out) {
   encode_varint(s.size(), out);
@@ -125,7 +113,7 @@ void TenantFrameEncoder::encode_hello(std::uint64_t tenant,
   encode_varint(it->second.next_seq++, payload);  // seq 0
   encode_varint(processes, payload);
   encode_varint(resync_chunk, payload);
-  append_envelope(payload, out);
+  append_frame(payload, out);
 }
 
 std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
@@ -171,7 +159,7 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
       }
       break;
   }
-  return append_envelope(payload, out);
+  return append_frame(payload, out);
 }
 
 void TenantFrameEncoder::release(std::uint64_t tenant) {

@@ -5,7 +5,7 @@
 //   envelope := varint(payload_len) payload crc32(payload):u32le
 //   payload  := kind:u8 varint(tenant) varint(seq) body
 //
-// — the WAL's length-prefix + CRC discipline lifted onto the wire, so a
+// — the WAL's frame (store/wal.hpp append_frame) lifted onto the wire, so a
 // torn or bit-flipped frame is detected before any session state is
 // touched. `seq` is a single per-tenant counter across every frame of that
 // tenant (the hello is seq 0): a frame spliced out of another position —
@@ -13,9 +13,10 @@
 // session's sequence guard *before* its body is decoded, so it can corrupt
 // neither this tenant's delta-codec state nor any other tenant's.
 //
-// Bodies reuse the PR 6 link codec: the journal (kEvent) and report
-// (kReport) streams are each one FIFO LinkEncoder/LinkDecoder pair per
-// tenant, shipping clocks as chained deltas with periodic absolute escapes.
+// Bodies reuse the online link codec (online/wire_codec.hpp): the journal
+// (kEvent) and report (kReport) streams are each one FIFO
+// LinkEncoder/LinkDecoder pair per tenant, shipping clocks as chained
+// deltas with periodic absolute escapes.
 // Checkpoint clocks are absolute (they are rare and must stand alone).
 #pragma once
 

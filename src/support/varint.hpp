@@ -1,6 +1,7 @@
 // LEB128 varint and zigzag encoding — the byte-level vocabulary shared by
-// every clock serialization (model/vector_clock, model/tree_clock,
-// model/compressed_clock) and the online wire codec (online/wire_codec).
+// the absolute clock layout (model/vector_clock), the delta clock codec
+// (online/wire_codec) and the frame envelopes built on them (store/wal,
+// service/tenant_codec).
 //
 // Encoders append to a byte vector; decoders consume from the front of a
 // span *by reference*, so sequential fields parse naturally:

@@ -20,7 +20,6 @@
 #include "support/thread_pool.hpp"  // IWYU pragma: export
 
 #include "model/clock.hpp"            // IWYU pragma: export
-#include "model/compressed_clock.hpp" // IWYU pragma: export
 #include "model/execution.hpp"     // IWYU pragma: export
 #include "model/reachability.hpp"  // IWYU pragma: export
 #include "model/scalar_clock.hpp"  // IWYU pragma: export

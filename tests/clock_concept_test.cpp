@@ -1,8 +1,8 @@
 // Contract suite for the clock concept (model/clock.hpp): every backend
-// must satisfy the same lattice laws, order semantics, tick monotonicity
-// and serialization round-trips. The laws are checked on deterministic
-// pseudo-random clocks, so sparse/structured backends are exercised on both
-// their fast and fallback paths; a separate causal simulation pins the
+// must satisfy the same lattice laws, order semantics and tick
+// monotonicity. The laws are checked on deterministic pseudo-random
+// clocks, so sparse/structured backends are exercised on both their fast
+// and fallback paths; a separate causal simulation pins the
 // TreeClock pruned joins against the dense backend step by step.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "model/clock.hpp"
-#include "model/compressed_clock.hpp"
 #include "model/tree_clock.hpp"
 #include "model/vector_clock.hpp"
 
@@ -21,7 +20,6 @@ namespace {
 
 static_assert(ClockRep<VectorClock>);
 static_assert(ClockRep<TreeClock>);
-static_assert(ClockRep<CompressedClock>);
 
 template <typename Clock>
 class ClockConceptTest : public ::testing::Test {
@@ -35,7 +33,7 @@ class ClockConceptTest : public ::testing::Test {
   }
 };
 
-using Backends = ::testing::Types<VectorClock, TreeClock, CompressedClock>;
+using Backends = ::testing::Types<VectorClock, TreeClock>;
 TYPED_TEST_SUITE(ClockConceptTest, Backends);
 
 TYPED_TEST(ClockConceptTest, FillConstructionAndAccess) {
@@ -122,42 +120,28 @@ TYPED_TEST(ClockConceptTest, DenseConversionRoundTrips) {
   }
 }
 
-TYPED_TEST(ClockConceptTest, SerializationRoundTripsAndConcatenates) {
+// VectorClock::encode/decode is the one absolute clock serialization; other
+// backends reach it through to_dense().
+TEST(VectorClockSerializationTest, SerializationRoundTripsAndConcatenates) {
   std::mt19937 rng(19);
+  std::uniform_int_distribution<ClockValue> dist(0, 3);
   std::vector<std::uint8_t> bytes;
-  std::vector<TypeParam> originals;
+  std::vector<VectorClock> originals;
   for (int round = 0; round < 40; ++round) {
     // Stamped clocks have correlated adjacent components; emulate that so
     // the delta encoding's small-value path is exercised too.
-    TypeParam c = this->random_clock(static_cast<std::size_t>(1 + round % 9), rng, 3);
-    for (std::size_t i = 1; i < c.size(); ++i) {
-      c.set(i, c.at(i) + c.at(i - 1));
+    VectorClock c(static_cast<std::size_t>(1 + round % 9), 0);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c.set(i, dist(rng) + (i == 0 ? 0 : c.at(i - 1)));
     }
     c.encode(bytes);
     originals.push_back(std::move(c));
   }
   std::span<const std::uint8_t> in(bytes);
-  for (const TypeParam& original : originals) {
-    EXPECT_EQ(TypeParam::decode(in), original);
+  for (const VectorClock& original : originals) {
+    EXPECT_EQ(VectorClock::decode(in), original);
   }
   EXPECT_TRUE(in.empty());
-}
-
-// The three backends share the absolute wire layout, so a clock encoded by
-// one backend decodes through any other.
-TEST(ClockInteropTest, WireFormatIsSharedAcrossBackends) {
-  const VectorClock dense({3, 1, 4, 1, 5});
-  std::vector<std::uint8_t> bytes;
-  dense.encode(bytes);
-  std::span<const std::uint8_t> in1(bytes);
-  EXPECT_EQ(TreeClock::decode(in1).to_dense(), dense);
-  std::span<const std::uint8_t> in2(bytes);
-  EXPECT_EQ(CompressedClock::decode(in2).to_dense(), dense);
-
-  bytes.clear();
-  TreeClock::from_dense(dense).encode(bytes);
-  std::span<const std::uint8_t> in3(bytes);
-  EXPECT_EQ(VectorClock::decode(in3), dense);
 }
 
 // Step-for-step simulation of a message-passing run under the stamping
@@ -214,7 +198,7 @@ TEST(TreeClockCausalTest, ArbitraryWritesDemoteToDenseFallback) {
   EXPECT_EQ(b.to_dense(), VectorClock({9, 2, 2, 1}));
 }
 
-TEST(TreeClockCausalTest, MergeMinAndDecodeAreNonCausal) {
+TEST(TreeClockCausalTest, MergeMinIsNonCausal) {
   TreeClock a(3, 1);
   a.tick(0);
   TreeClock b(3, 1);
@@ -222,11 +206,6 @@ TEST(TreeClockCausalTest, MergeMinAndDecodeAreNonCausal) {
   a.merge_min(b);
   EXPECT_FALSE(a.causal());
   EXPECT_EQ(a.to_dense(), VectorClock({1, 1, 1}));
-
-  std::vector<std::uint8_t> bytes;
-  b.encode(bytes);
-  std::span<const std::uint8_t> in(bytes);
-  EXPECT_FALSE(TreeClock::decode(in).causal());
 }
 
 }  // namespace

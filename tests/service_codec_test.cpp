@@ -1,21 +1,31 @@
 // Tenant wire codec conformance (DESIGN.md §3.15): scripted tenant traffic
 // must survive the frame round-trip bit-for-bit, and every way a frame can
-// be damaged — truncation, bit flips, cross-position splices — must end in
-// quarantine: never an abort, never corruption of another frame's decode.
+// be damaged — truncation, bit flips, cross-position splices, hostile
+// bodies behind a valid CRC — must end in quarantine: never an abort, never
+// corruption of another frame's decode.
 #include "service/tenant_codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "service/daemon.hpp"
 #include "sim/soak.hpp"
+#include "store/wal.hpp"
+#include "support/thread_pool.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
 
+using service::DaemonOptions;
+using service::DaemonStats;
 using service::FrameKind;
 using service::FrameView;
+using service::MonitorDaemon;
 using service::PeekStatus;
 using service::TenantFrameEncoder;
 using service::TenantStreamDecoder;
@@ -205,6 +215,92 @@ TEST(ServiceCodecTest, CrossTenantSpliceCannotCrossStreams) {
   EXPECT_EQ(core_b.definite_verdicts(), script_b.reference_verdicts);
   EXPECT_EQ(core_a.quarantined(), 0u);
   EXPECT_EQ(core_b.quarantined(), 0u);
+}
+
+/// Re-frames `frame` with its body (the bytes after kind, tenant and seq)
+/// damaged by one seeded mutation — byte overwrites, an inflated varint in
+/// place of one byte, or truncation — under a fresh, valid CRC.
+std::vector<std::uint8_t> mutate_body(const std::vector<std::uint8_t>& frame,
+                                      std::mt19937_64& rng) {
+  FrameView view;
+  EXPECT_EQ(service::peek_frame(frame, view), PeekStatus::kOk);
+  std::vector<std::uint8_t> body(view.body.begin(), view.body.end());
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  switch (pick(3)) {
+    case 0:  // overwrite one to three bytes
+      for (std::size_t k = 1 + pick(3); k > 0 && !body.empty(); --k) {
+        body[pick(body.size())] = static_cast<std::uint8_t>(rng());
+      }
+      break;
+    case 1: {  // replace one byte with a varint of 33 to 64 bits
+      std::vector<std::uint8_t> inflated;
+      encode_varint(rng() | std::uint64_t{1} << (32 + pick(32)), inflated);
+      const std::size_t at = pick(body.size() + 1);
+      const auto where = body.begin() + static_cast<std::ptrdiff_t>(at);
+      body.insert(at < body.size() ? body.erase(where) : where,
+                  inflated.begin(), inflated.end());
+      break;
+    }
+    default:  // truncate
+      body.resize(pick(body.size() + 1));
+  }
+  std::vector<std::uint8_t> payload = {static_cast<std::uint8_t>(view.kind)};
+  encode_varint(view.tenant, payload);
+  encode_varint(view.seq, payload);
+  payload.insert(payload.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> out;
+  append_frame(payload, out);
+  return out;
+}
+
+// Every corruption test above is stopped by the CRC or the sequence guard
+// before body decoding. This one re-wraps damaged bodies under a valid CRC
+// and in sequence, so the link codecs and the session core see hostile
+// bytes: the daemon must never throw, and every frame must end up applied
+// or quarantined. The header is left intact — a damaged header is the
+// sequence guard's job, covered by the splice tests.
+TEST(ServiceCodecTest, CrcValidBodyMutationsNeverEscapeTheDaemon) {
+  constexpr std::uint64_t kTenants = 3;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    TenantFrameEncoder encoder;
+    ThreadPool pool(2);
+    DaemonOptions options;
+    options.shards = 2;
+    options.queue_capacity = 16;  // backpressure pumps mid-stream
+    MonitorDaemon daemon(options, pool);
+    std::uint64_t submitted = 0;
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+      auto frames = encode_frames(
+          encoder, t, generate_tenant_script(faulty_workload(seed * 8 + t)));
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        // The hello stays clean; a quarter of the ops are damaged.
+        if (i > 0 && rng() % 4 == 0) frames[i] = mutate_body(frames[i], rng);
+        while (!daemon.submit(frames[i]).accepted) {
+          ASSERT_NO_THROW(daemon.pump()) << "seed " << seed;
+        }
+        ++submitted;
+      }
+    }
+    ASSERT_NO_THROW(daemon.pump()) << "seed " << seed;
+
+    // frames_quarantined also counts what the session cores rejected after
+    // a frame was applied; without those, every frame counts exactly once.
+    const DaemonStats stats = daemon.stats();
+    std::uint64_t rejected_ops = 0;
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+      ASSERT_NE(daemon.session(t), nullptr) << "seed " << seed;
+      rejected_ops += daemon.session(t)->quarantined();
+    }
+    EXPECT_EQ(stats.tenants, kTenants);
+    EXPECT_GT(stats.frames_quarantined, 0u) << "seed " << seed;
+    EXPECT_EQ(stats.frames_applied + stats.frames_quarantined - rejected_ops,
+              submitted)
+        << "seed " << seed;
+    pool.drain();
+  }
 }
 
 }  // namespace

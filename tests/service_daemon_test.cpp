@@ -15,7 +15,9 @@
 #include "service/tenant_codec.hpp"
 #include "sim/soak.hpp"
 #include "store/storage.hpp"
+#include "store/wal.hpp"
 #include "support/thread_pool.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
@@ -219,6 +221,52 @@ TEST(ServiceDaemonTest, ReplayedFrameIsQuarantinedNotReapplied) {
   // the verdict log is exactly the reference despite the replays.
   EXPECT_EQ(daemon.verdicts(0), script.reference_verdicts);
   EXPECT_EQ(daemon.stats().frames_quarantined, replays);
+  pool.drain();
+}
+
+// A CRC-valid report frame whose absolute clock claims 2^40 components:
+// the body decoder must reject the count as a contract violation (it is
+// quarantined) instead of sizing an allocation from it, which would escape
+// pump() as std::bad_alloc and drop the rest of the shard's batch.
+TEST(ServiceDaemonTest, ImpossibleClockCountIsQuarantinedNotFatal) {
+  ThreadPool pool(2);
+  DaemonOptions options;
+  options.shards = 1;  // the hostile frame shares a batch with tenant 2
+  MonitorDaemon daemon(options, pool);
+
+  TenantWorkload workload = faulty_workload();
+  workload.seed = 41;
+  const TenantScript script = generate_tenant_script(workload);
+  TenantFrameEncoder encoder;
+  std::vector<std::uint8_t> hello;
+  encoder.encode_hello(1, 4, 8, hello);
+  const auto frames = encode_frames(encoder, 2, script);
+
+  std::vector<std::uint8_t> payload = {
+      static_cast<std::uint8_t>(service::FrameKind::kReport),
+      1,  // tenant
+      1,  // seq: the first op after the hello
+      0,  // wire tag kFull: an absolute clock follows
+      0, 1};  // source (0, 1)
+  encode_varint(std::uint64_t{1} << 40, payload);  // component count
+  payload.push_back(0);                            // empty label
+  std::vector<std::uint8_t> hostile;
+  append_frame(payload, hostile);
+  ASSERT_EQ(hostile.size(), 18u);
+
+  submit_or_pump(daemon, hello);
+  daemon.pump();
+  EXPECT_TRUE(daemon.submit(hostile).accepted);
+  for (const auto& frame : frames) submit_or_pump(daemon, frame);
+  EXPECT_NO_THROW(daemon.pump());
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.tenants, 2u);
+  EXPECT_EQ(stats.frames_quarantined, 1u);
+  EXPECT_EQ(stats.frames_applied, 1 + frames.size());
+  ASSERT_NE(daemon.session(1), nullptr);
+  EXPECT_EQ(daemon.session(1)->quarantined(), 0u);
+  EXPECT_EQ(daemon.verdicts(2), script.reference_verdicts);
   pool.drain();
 }
 

@@ -1,18 +1,19 @@
-// Round-trip and framing tests for the compressed wire codec
-// (online/wire_codec.hpp): chained delta frames on a FIFO link, the
-// periodic absolute escape, resync behavior, and the size win over dense
-// serialization that is the backend's reason to exist.
+// Round-trip and framing tests for the wire codec (online/wire_codec.hpp):
+// the byte layout, chained delta frames on a FIFO link, the periodic
+// absolute escape, resync behavior, rejection of malformed frames, and the
+// size win over dense serialization that is the codec's reason to exist.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "model/compressed_clock.hpp"
 #include "online/online_system.hpp"
 #include "online/wire_codec.hpp"
 #include "support/contracts.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
@@ -32,6 +33,43 @@ std::vector<WireMessage> sender_stream(std::size_t procs, int count,
     out.push_back(WireMessage{{0, static_cast<EventIndex>(i + 1)}, clock});
   }
   return out;
+}
+
+// The wire layout is a compatibility promise: journals and peers hold these
+// bytes. The stream covers the first absolute frame, delta frames with one
+// and several changes, a multi-byte varint, the periodic absolute escape,
+// and a component that goes backwards (negative zigzag delta).
+TEST(WireCodecTest, WireFormatIsPinnedByteForByte) {
+  const std::vector<WireMessage> stream = {
+      {{2, 1}, VectorClock({1, 1, 2, 1, 1})},
+      {{2, 2}, VectorClock({1, 1, 3, 1, 1})},
+      {{2, 3}, VectorClock({4, 1, 4, 1, 1})},
+      {{2, 4}, VectorClock({4, 1, 5, 1, 300})},
+      {{2, 5}, VectorClock({4, 2, 6, 1, 300})},   // absolute escape
+      {{2, 6}, VectorClock({3, 2, 7, 1, 300})},   // component 0 regresses
+      {{2, 7}, VectorClock({3, 2, 8, 1, 300})},
+  };
+  LinkEncoder enc(5, /*full_interval=*/4);
+  std::vector<std::uint8_t> bytes;
+  for (const WireMessage& m : stream) enc.encode(m, bytes);
+  std::string hex;
+  for (const std::uint8_t b : bytes) {
+    hex += "0123456789abcdef"[b >> 4];
+    hex += "0123456789abcdef"[b & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "000201050200020100"      // absolute: count 5, neighbor deltas
+            "010202010202"            // delta: +1 at index 2
+            "0102030200060202"        // delta: +3 at 0, +1 at 2
+            "01020402020202d604"      // delta: +1 at 2, +299 at 4 (varint d604)
+            "0002050508030809d604"    // absolute escape (5th frame)
+            "0102060200010202"        // delta: -1 at 0 (zigzag 1), +1 at 2
+            "010207010202");          // delta: +1 at 2
+
+  LinkDecoder dec(5);
+  std::span<const std::uint8_t> in(bytes);
+  for (const WireMessage& m : stream) EXPECT_EQ(dec.decode(in).clock, m.clock);
+  EXPECT_TRUE(in.empty());
 }
 
 TEST(WireCodecTest, RoundTripsAFifoStream) {
@@ -129,22 +167,56 @@ TEST(WireCodecTest, EncoderResetForcesAbsoluteFrameForRejoiningReceiver) {
 TEST(WireCodecTest, RelativeEncodingRoundTripsRandomPairs) {
   std::mt19937 rng(53);
   std::uniform_int_distribution<ClockValue> dist(0, 40);
-  for (int round = 0; round < 100; ++round) {
+  for (int round = 0; round < 20; ++round) {
     const std::size_t size = static_cast<std::size_t>(1 + round % 17);
-    CompressedClock base(size, 0);
-    CompressedClock next(size, 0);
-    for (std::size_t i = 0; i < size; ++i) {
-      base.set(i, dist(rng));
-      // Mostly unchanged components, occasionally moved in either
-      // direction — deltas may be negative (resync can regress a link).
-      next.set(i, round % 4 == 0 ? dist(rng) : base.at(i));
-    }
+    LinkEncoder enc(size, /*full_interval=*/100);  // all deltas after frame 1
+    LinkDecoder dec(size);
     std::vector<std::uint8_t> bytes;
-    next.encode_relative(base, bytes);
+    std::vector<WireMessage> sent;
+    VectorClock clock(size, 0);
+    for (int frame = 0; frame < 8; ++frame) {
+      for (std::size_t i = 0; i < size; ++i) {
+        // Mostly unchanged components, occasionally moved in either
+        // direction — deltas may be negative (resync can regress a link).
+        if (dist(rng) < 8) clock.set(i, dist(rng));
+      }
+      sent.push_back({{0, static_cast<EventIndex>(frame + 1)}, clock});
+      enc.encode(sent.back(), bytes);
+    }
     std::span<const std::uint8_t> in(bytes);
-    EXPECT_EQ(CompressedClock::decode_relative(base, in), next);
+    for (const WireMessage& m : sent) EXPECT_EQ(dec.decode(in).clock, m.clock);
     EXPECT_TRUE(in.empty());
   }
+}
+
+// An absolute clock whose component count exceeds the bytes left is
+// malformed (each component takes at least one byte): it must be rejected
+// as a contract violation before anything is sized from the count, leaving
+// the input and the codec state as they were.
+TEST(WireCodecTest, ImpossibleClockCountIsRejectedWithoutStateChange) {
+  const auto stream = sender_stream(4, 2, 59);
+  LinkEncoder enc(4, 100);
+  LinkDecoder dec(4);
+  std::vector<std::uint8_t> bytes;
+  enc.encode(stream[0], bytes);
+  enc.encode(stream[1], bytes);  // a delta frame against stream[0]
+  std::span<const std::uint8_t> in(bytes);
+  dec.decode(in);
+
+  for (const std::uint64_t count : {std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 62}) {
+    std::vector<std::uint8_t> hostile = {0 /* kFull */, 0, 9};
+    encode_varint(count, hostile);
+    hostile.push_back(2);
+    std::span<const std::uint8_t> probe(hostile);
+    WireMessage out;
+    EXPECT_FALSE(dec.try_decode(probe, out)) << count;
+    EXPECT_EQ(probe.data(), hostile.data());
+    EXPECT_EQ(probe.size(), hostile.size());
+  }
+  // The link base is intact: the delta frame still decodes exactly.
+  EXPECT_TRUE(dec.synced());
+  EXPECT_EQ(dec.decode(in).clock, stream[1].clock);
 }
 
 TEST(WireCodecTest, CodecIntegratesWithOnlineSystemWire) {
