@@ -1,26 +1,18 @@
-// E-clock — pluggable clock representations under scale (DESIGN.md §3.11):
-// sweeps |P| = 64 / 256 / 1024 over the two ClockRep backends (dense
-// VectorClock, TreeClock) measuring
+// E-clock — VectorClock under scale (DESIGN.md §3.11): sweeps
+// |P| = 64 / 256 / 1024 measuring
 //
 //   * the online monotone stamping sweep (per-process running clocks:
-//     tick the owner, join the piggybacked clock) — the workload where the
-//     TreeClock's pruned joins are sublinear in |P| while the dense backend
-//     pays O(|P|) per receive;
-//   * offline BasicTimestamps construction (per-event stored clocks — the
-//     copies are O(|P|) for every backend, so this column shows the honest
-//     overhead, not a win);
-//   * the Theorem 19 probe over each backend's cut timestamps (component
-//     reads through at(); should be flat across backends);
+//     tick the owner, join the piggybacked clock), O(|P|) per receive;
+//   * offline Timestamps construction (per-event stored clocks);
+//   * the Theorem 19 probe over cut timestamps (component reads through
+//     at(); flat in |P|);
 //   * wire bytes per message for the delta codec (online/wire_codec)
 //     against raw dense serialization.
 //
 // The stamping workload is locality-heavy: processes talk almost entirely
 // within a small cluster, with rare cross-cluster messages. That keeps the
-// per-join changed-set small — the regime real systems live in and the one
-// arXiv 2201.06325's pruning exploits. (A fully-mixed workload makes every
-// join touch ~|P| components, where no sparse representation can beat a
-// sequential dense max-loop; the table is only meaningful because the
-// script's causal fan-in is sparse.)
+// per-message changed-set small — the regime real systems live in and the
+// one the wire codec's change-list encoding exploits.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,10 +21,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "model/clock.hpp"
-#include "obs/metrics.hpp"
-#include "model/tree_clock.hpp"
 #include "model/vector_clock.hpp"
+#include "obs/metrics.hpp"
 #include "online/wire_codec.hpp"
 #include "relations/fast.hpp"
 
@@ -86,12 +76,11 @@ struct SweepResult {
   double seconds = 0;  // stamping loop only — construction excluded
 };
 
-template <ClockRep Clock>
 SweepResult run_sweep(std::size_t procs, const std::vector<Step>& script) {
-  std::vector<Clock> cur(procs, Clock(procs, 1));
+  std::vector<VectorClock> cur(procs, VectorClock(procs, 1));
   const auto start = std::chrono::steady_clock::now();
   for (const Step& s : script) {
-    Clock& t = cur[s.p];
+    VectorClock& t = cur[s.p];
     t.tick(s.p);
     if (s.src != Step::kNoSrc) t.merge_max(cur[s.src]);
   }
@@ -102,20 +91,13 @@ SweepResult run_sweep(std::size_t procs, const std::vector<Step>& script) {
   return r;
 }
 
-template <ClockRep Clock>
 void BM_OnlineStampSweep(benchmark::State& state) {
   const auto procs = static_cast<std::size_t>(state.range(0));
   const std::vector<Step> script = cluster_script(procs, 42);
-  // All backends must agree before we time anything.
-  const std::uint64_t expect = run_sweep<VectorClock>(procs, script).checksum;
-  if (run_sweep<Clock>(procs, script).checksum != expect) {
-    state.SkipWithError("backend sweep diverged from dense");
-    return;
-  }
   // Manual timing: an online monitor constructs its clocks once and stamps
   // forever, so the per-iteration construction must not count.
   for (auto _ : state) {
-    const SweepResult r = run_sweep<Clock>(procs, script);
+    const SweepResult r = run_sweep(procs, script);
     benchmark::DoNotOptimize(r.checksum);
     state.SetIterationTime(r.seconds);
   }
@@ -123,12 +105,11 @@ void BM_OnlineStampSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(script.size()));
 }
 
-template <ClockRep Clock>
 void BM_OfflineTimestamps(benchmark::State& state) {
   const auto procs = static_cast<std::size_t>(state.range(0));
   const Execution exec = generate_execution(standard_workload(procs, 8));
   for (auto _ : state) {
-    const BasicTimestamps<Clock> ts(exec);
+    const Timestamps ts(exec);
     benchmark::DoNotOptimize(ts.forward_ref(exec.topological_order().back()));
   }
   state.SetItemsProcessed(
@@ -136,16 +117,15 @@ void BM_OfflineTimestamps(benchmark::State& state) {
       static_cast<std::int64_t>(exec.topological_order().size()));
 }
 
-template <ClockRep Clock>
 void BM_Theorem19Probe(benchmark::State& state) {
   const auto procs = static_cast<std::size_t>(state.range(0));
   const Execution exec = generate_execution(standard_workload(procs, 8));
-  const BasicTimestamps<Clock> ts(exec);
+  const Timestamps ts(exec);
   Xoshiro256StarStar rng(271);
   const NonatomicEvent x = random_interval(exec, rng, standard_spec(8, 3), "X");
   const NonatomicEvent y = random_interval(exec, rng, standard_spec(8, 3), "Y");
-  const BasicEventCuts<Clock> xc(ts, x), yc(ts, y);
-  ComparisonCounter counter;
+  const EventCuts xc(ts, x), yc(ts, y);
+  QueryCost counter;
   for (auto _ : state) {
     const bool v = theorem19_violated(yc.union_past(), xc.intersect_future(),
                                       x.node_set(), counter);
@@ -199,58 +179,39 @@ void BM_WireBytesPerMessage(benchmark::State& state) {
   }
 }
 
-void print_backend_table() {
-  banner("E-clock: bench_clock_backends", "clock concept (DESIGN.md §3.11)",
-         "online stamping sweep ns/event per backend, |P| = 64/256/1024");
-  TextTable table({"|P|", "dense ns/event", "tree ns/event", "tree causal"});
+void print_sweep_table() {
+  banner("E-clock: bench_clock_backends", "VectorClock (DESIGN.md §3.11)",
+         "online stamping sweep ns/event, |P| = 64/256/1024");
+  TextTable table({"|P|", "ns/event"});
   for (const std::size_t procs : {64u, 256u, 1024u}) {
     const std::vector<Step> script = cluster_script(procs, 42);
     const int reps = procs >= 1024 ? 3 : 10;
-    auto time_one = [&](auto tag) {
-      using Clock = decltype(tag);
-      double seconds = 0;
-      std::uint64_t sink = 0;
-      for (int i = 0; i < reps; ++i) {
-        const SweepResult r = run_sweep<Clock>(procs, script);
-        sink += r.checksum;
-        seconds += r.seconds;
-      }
-      benchmark::DoNotOptimize(sink);
-      return seconds * 1e9 / static_cast<double>(reps) /
-             static_cast<double>(script.size());
-    };
-    // The sweep keeps every TreeClock on its causal fast path; report it so
-    // a regression that silently demotes to dense shows up here.
-    std::vector<TreeClock> probe(procs, TreeClock(procs, 1));
-    for (const Step& s : script) {
-      probe[s.p].tick(s.p);
-      if (s.src != Step::kNoSrc) probe[s.p].merge_max(probe[s.src]);
+    double seconds = 0;
+    std::uint64_t sink = 0;
+    for (int i = 0; i < reps; ++i) {
+      const SweepResult r = run_sweep(procs, script);
+      sink += r.checksum;
+      seconds += r.seconds;
     }
-    bool causal = true;
-    for (const TreeClock& tc : probe) causal = causal && tc.causal();
-    table.new_row()
-        .add_cell(procs)
-        .add_cell(time_one(VectorClock{}), 1)
-        .add_cell(time_one(TreeClock{}), 1)
-        .add_cell(causal ? 1 : 0);
+    benchmark::DoNotOptimize(sink);
+    table.new_row().add_cell(procs).add_cell(
+        seconds * 1e9 / static_cast<double>(reps) /
+            static_cast<double>(script.size()),
+        1);
   }
   std::printf("%s\n", table.to_string().c_str());
 }
 
-BENCHMARK_TEMPLATE(BM_OnlineStampSweep, VectorClock)
+BENCHMARK(BM_OnlineStampSweep)
     ->Arg(64)->Arg(256)->Arg(1024)->UseManualTime();
-BENCHMARK_TEMPLATE(BM_OnlineStampSweep, TreeClock)
-    ->Arg(64)->Arg(256)->Arg(1024)->UseManualTime();
-BENCHMARK_TEMPLATE(BM_OfflineTimestamps, VectorClock)->Arg(64)->Arg(256);
-BENCHMARK_TEMPLATE(BM_OfflineTimestamps, TreeClock)->Arg(64)->Arg(256);
-BENCHMARK_TEMPLATE(BM_Theorem19Probe, VectorClock)->Arg(64)->Arg(1024);
-BENCHMARK_TEMPLATE(BM_Theorem19Probe, TreeClock)->Arg(64)->Arg(1024);
+BENCHMARK(BM_OfflineTimestamps)->Arg(64)->Arg(256);
+BENCHMARK(BM_Theorem19Probe)->Arg(64)->Arg(1024);
 BENCHMARK(BM_WireBytesPerMessage)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_backend_table();
+  print_sweep_table();
   syncon::bench::start_telemetry();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -54,7 +54,7 @@ void print_table1() {
                         "∃x∃y: x≺y", "∃y∃x: x≺y"};
   int d = 0;
   for (const Relation r : kAllRelations) {
-    ComparisonCounter naive_c, proxy_c, fast_c;
+    QueryCost naive_c, proxy_c, fast_c;
     std::size_t holds = 0;
     bool agree = true;
     for (std::size_t i = 0; i < kPairs; ++i) {
@@ -112,7 +112,7 @@ void BM_ProxyNaive(benchmark::State& state) {
 void BM_Fast(benchmark::State& state) {
   const auto cuts = cuts_pool();
   const auto r = static_cast<Relation>(state.range(0));
-  ComparisonCounter counter;
+  QueryCost counter;
   std::size_t i = 0;
   for (auto _ : state) {
     const bool v = evaluate_fast(r, *cuts[2 * i], *cuts[2 * i + 1], counter);

@@ -42,7 +42,7 @@ void print_theorem19() {
         const NonatomicEvent y =
             random_interval(s.exec, rng, standard_spec(ny, 3), "Y");
         const EventCuts xc(*s.ts, x), yc(*s.ts, y);
-        ComparisonCounter counter;
+        QueryCost counter;
         const auto& probe = x.node_count() <= y.node_count() ? x.node_set()
                                                              : y.node_set();
         (void)theorem19_violated(yc.union_past(), xc.intersect_future(),
@@ -71,7 +71,7 @@ void BM_LLProbeMinSide(benchmark::State& state) {
   const NonatomicEvent y =
       random_interval(s.exec, rng, standard_spec(n, 3), "Y");
   const EventCuts xc(*s.ts, x), yc(*s.ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   for (auto _ : state) {
     const bool v = theorem19_violated(yc.union_past(), xc.intersect_future(),
                                       x.node_set(), counter);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     for (const char* b : stages) {
       const NonatomicEvent& y = scenario.interval(std::string(b) + "/1");
       const EventCuts yc(ts, y);
-      ComparisonCounter counter;
+      QueryCost counter;
       const RelationProfile p = relation_profile(xc, yc, counter);
       matrix.add_cell(std::string(to_string(classify(p))) + "/" +
                       to_string(forward_grade(p)));
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   // fast (weak) conditions differ from the strict definitions.
   const NonatomicEvent& compute0 = scenario.interval("compute/0");
   const EventCuts cc(ts, compute0);
-  ComparisonCounter counter;
+  QueryCost counter;
   const bool weak_self = evaluate_fast(Relation::R4, cc, cc, counter);
   std::printf("R4(compute/0, compute/0): weak(⪯) = %s — every event "
               "trivially ⪯ itself;\nstrict(≺) on the same pair would be "

@@ -388,7 +388,7 @@ int main(int argc, char** argv) {
         }
         const EventCuts yc(monitor.timestamps(),
                            monitor.interval(monitor.handle_at(y)));
-        ComparisonCounter counter;
+        QueryCost counter;
         matrix.add_cell(std::string(
             to_string(classify(relation_profile(xc, yc, counter)))));
       }

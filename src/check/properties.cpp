@@ -14,7 +14,6 @@
 #include "explore/explorer.hpp"
 #include "explore/invariants.hpp"
 #include "model/reachability.hpp"
-#include "model/tree_clock.hpp"
 #include "monitor/predicate.hpp"
 #include "online/online_monitor.hpp"
 #include "online/online_system.hpp"
@@ -199,7 +198,7 @@ PropertyResult timestamp_ll_forms(const CheckCase& c) {
   for (const Probe& probe : probes) {
     const bool expected =
         !ll(Cut(exec, *probe.down), Cut(exec, *probe.up));
-    ComparisonCounter counter;
+    QueryCost counter;
     const bool probed =
         theorem19_violated(*probe.down, *probe.up, *probe.nodes, counter);
     if (probed != expected) {
@@ -857,71 +856,6 @@ PropertyResult predicate_roundtrip(const CheckCase& c) {
 }
 
 // ---------------------------------------------------------------------------
-// clock_backend_identity
-// ---------------------------------------------------------------------------
-
-PropertyResult clock_backend_identity(const CheckCase& c) {
-  std::optional<MaterializedCase> m = materialize(c);
-  if (!m) return fail("case failed to materialize");
-  const Execution& exec = *m->exec;
-  const BasicTimestamps<VectorClock> dense(exec);
-  const BasicTimestamps<TreeClock> tree(exec);
-
-  // Stamped clocks densify bit-identically across backends, forward and
-  // reverse, for every real event.
-  for (const EventId& e : exec.topological_order()) {
-    if (tree.forward_ref(e).to_dense() != dense.forward_ref(e)) {
-      return fail("forward clock of " + describe(e) +
-                  " differs across clock backends");
-    }
-    if (tree.reverse(e).to_dense() != dense.reverse(e)) {
-      return fail("reverse clock of " + describe(e) +
-                  " differs across clock backends");
-    }
-  }
-
-  // C1–C4 cut timestamps of X and Y densify identically.
-  const BasicEventCuts<VectorClock> cx_d(dense, m->x), cy_d(dense, m->y);
-  const BasicEventCuts<TreeClock> cx_t(tree, m->x), cy_t(tree, m->y);
-  for (const PosetCut which :
-       {PosetCut::IntersectPast, PosetCut::UnionPast,
-        PosetCut::IntersectFuture, PosetCut::UnionFuture}) {
-    if (cx_t.counts(which).to_dense() != cx_d.counts(which) ||
-        cy_t.counts(which).to_dense() != cy_d.counts(which)) {
-      return fail(std::string(to_string(which)) +
-                  " differs across clock backends");
-    }
-  }
-
-  // The Theorem 19/20 evaluator returns the same verdict at the same
-  // comparison cost on every backend, both argument orders.
-  constexpr std::array<Relation, 8> kRelations{
-      Relation::R1,  Relation::R1p, Relation::R2, Relation::R2p,
-      Relation::R3,  Relation::R3p, Relation::R4, Relation::R4p};
-  for (const Relation r : kRelations) {
-    ComparisonCounter nd, nt;
-    const bool xy_d = evaluate_fast(r, cx_d, cy_d, nd);
-    const bool xy_t = evaluate_fast(r, cx_t, cy_t, nt);
-    if (xy_t != xy_d) {
-      return fail(std::string("R(X,Y) verdict for ") + to_string(r) +
-                  " differs across clock backends");
-    }
-    if (nt != nd) {
-      return fail(std::string("R(X,Y) probe cost for ") + to_string(r) +
-                  " differs across clock backends");
-    }
-    nd.reset(); nt.reset();
-    const bool yx_d = evaluate_fast(r, cy_d, cx_d, nd);
-    const bool yx_t = evaluate_fast(r, cy_t, cx_t, nt);
-    if (yx_t != yx_d || nt != nd) {
-      return fail(std::string("R(Y,X) for ") + to_string(r) +
-                  " differs across clock backends");
-    }
-  }
-  return pass();
-}
-
-// ---------------------------------------------------------------------------
 // schedule_invariance
 // ---------------------------------------------------------------------------
 
@@ -963,7 +897,7 @@ PropertyResult schedule_invariance(const CheckCase& c) {
   return pass();
 }
 
-constexpr std::array<PropertyInfo, 12> kProperties{{
+constexpr std::array<PropertyInfo, 11> kProperties{{
     {"fast_vs_naive",
      "Theorem 20 fast conditions vs naive proxy quantification (and the BFS "
      "oracle on small universes) for all 32 relations, with cost bounds",
@@ -999,10 +933,6 @@ constexpr std::array<PropertyInfo, 12> kProperties{{
      "random sync-condition ASTs render -> parse -> evaluate identically to "
      "direct AST evaluation",
      &predicate_roundtrip},
-    {"clock_backend_identity",
-     "dense and tree clock backends stamp, cut and decide all relations "
-     "bit-identically after densification, at equal probe cost",
-     &clock_backend_identity},
     {"recovery_identity",
      "crash the durable system and monitor at a seeded point under storage "
      "faults, recover from snapshot + WAL tail, and require clocks and all "

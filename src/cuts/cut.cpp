@@ -1,5 +1,7 @@
 #include "cuts/cut.hpp"
 
+#include <utility>
+
 #include "support/contracts.hpp"
 
 namespace syncon {
@@ -89,12 +91,16 @@ bool Cut::proper_subset_of(const Cut& other) const {
 
 Cut Cut::set_union(const Cut& a, const Cut& b) {
   SYNCON_REQUIRE(a.exec_ == b.exec_, "cuts of different executions");
-  return Cut(*a.exec_, component_max(a.counts_, b.counts_));
+  VectorClock counts = a.counts_;
+  counts.merge_max(b.counts_);
+  return Cut(*a.exec_, std::move(counts));
 }
 
 Cut Cut::set_intersection(const Cut& a, const Cut& b) {
   SYNCON_REQUIRE(a.exec_ == b.exec_, "cuts of different executions");
-  return Cut(*a.exec_, component_min(a.counts_, b.counts_));
+  VectorClock counts = a.counts_;
+  counts.merge_min(b.counts_);
+  return Cut(*a.exec_, std::move(counts));
 }
 
 std::vector<Message> Cut::in_transit() const {

@@ -86,4 +86,19 @@ bool not_ll_form4(const Cut& c, const Cut& c_prime) {
   return false;
 }
 
+bool theorem19_violated(const VectorClock& down_counts,
+                        const VectorClock& up_counts,
+                        std::span<const ProcessId> probe_nodes,
+                        QueryCost& counter) {
+  SYNCON_REQUIRE(down_counts.size() == up_counts.size(),
+                 "cut timestamps of different sizes");
+  for (const ProcessId i : probe_nodes) {
+    // One paper-counted comparison per probed node: is the ↑-cut surface
+    // at i at or below the ↓-cut surface? (Defn 7.4's violation site.)
+    ++counter.integer_comparisons;
+    if (down_counts.at(i) >= up_counts.at(i)) return true;
+  }
+  return false;
+}
+
 }  // namespace syncon

@@ -15,10 +15,8 @@
 #include <span>
 
 #include "cuts/cut.hpp"
-#include "model/clock.hpp"
 #include "model/types.hpp"
 #include "model/vector_clock.hpp"
-#include "support/contracts.hpp"
 
 namespace syncon {
 
@@ -49,9 +47,6 @@ struct QueryCost {
   friend bool operator==(const QueryCost&, const QueryCost&) = default;
 };
 
-/// Legacy name for QueryCost, kept for the pre-batch-engine call sites.
-using ComparisonCounter = QueryCost;
-
 /// Canonical test for <<(C, C'); scans all |P| components.
 bool ll(const Cut& c, const Cut& c_prime);
 
@@ -81,23 +76,9 @@ bool not_ll_form4(const Cut& c, const Cut& c_prime);
 ///    automatically in N_C;
 ///  * probe_nodes is N_X or N_Y — the proof of Theorem 19 shows a violation,
 ///    if any exists, is visible at a node of either set.
-///
-/// Generic over the clock representation: the probe touches single
-/// components through the concept's at() accessor, so sparse or structured
-/// backends answer it without densifying.
-template <ClockRep Clock>
-bool theorem19_violated(const Clock& down_counts, const Clock& up_counts,
+bool theorem19_violated(const VectorClock& down_counts,
+                        const VectorClock& up_counts,
                         std::span<const ProcessId> probe_nodes,
-                        ComparisonCounter& counter) {
-  SYNCON_REQUIRE(down_counts.size() == up_counts.size(),
-                 "cut timestamps of different sizes");
-  for (const ProcessId i : probe_nodes) {
-    // One paper-counted comparison per probed node: is the ↑-cut surface
-    // at i at or below the ↓-cut surface? (Defn 7.4's violation site.)
-    ++counter.integer_comparisons;
-    if (down_counts.at(i) >= up_counts.at(i)) return true;
-  }
-  return false;
-}
+                        QueryCost& counter);
 
 }  // namespace syncon

@@ -4,10 +4,9 @@
 // A VectorClock of size |P| is also the representation of a *cut timestamp*
 // (Defn 15): component i is the number of events of process i inside the cut.
 //
-// VectorClock is the *dense* backend of the clock concept (model/clock.hpp):
-// a plain std::vector of components, every operation O(|P|). It is the
-// default everywhere and the representation the other backends convert to at
-// the dense boundary (to_dense / from_dense).
+// VectorClock is the one clock representation: a plain std::vector of
+// components, every operation O(|P|). Stamping, cut timestamps, the
+// Theorem 19 probe, the wire and the journal all use it.
 //
 // Component access is the narrow read API: size() / at() for single
 // components, values() for a read-only span over the dense storage, set()
@@ -37,8 +36,7 @@ class VectorClock {
 
   /// Component i (bounds-checked).
   ClockValue at(std::size_t i) const;
-  /// Read-only view of the dense storage (dense backend only — not part of
-  /// the clock concept, which promises only size()/at()).
+  /// Read-only view of the component storage.
   std::span<const ClockValue> values() const { return components_; }
   /// Writes component i (bounds-checked).
   void set(std::size_t i, ClockValue v);
@@ -59,10 +57,6 @@ class VectorClock {
   bool lt(const VectorClock& other) const;
   /// Neither leq in either direction (events: concurrent).
   bool incomparable(const VectorClock& other) const;
-
-  /// Dense conversion boundary of the clock concept: identity here.
-  VectorClock to_dense() const { return *this; }
-  static VectorClock from_dense(const VectorClock& dense) { return dense; }
 
   /// Appends a self-delimiting serialization: varint size, then each
   /// component as a zigzag varint delta from its left neighbor (stamped

@@ -68,7 +68,7 @@ void write_report(std::ostream& os, const SyncMonitor& monitor,
         }
         const EventCuts yc(monitor.timestamps(),
                            monitor.interval(monitor.handle_at(y)));
-        ComparisonCounter counter;
+        QueryCost counter;
         matrix.add_cell(
             std::string(to_string(classify(relation_profile(xc, yc, counter)))));
       }

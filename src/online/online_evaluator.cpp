@@ -10,7 +10,7 @@ namespace {
 // With bound = greatest index this is "every x-extreme is known to the
 // relevant Y aggregate"; with least index, the ∃x variants.
 bool all_nodes_dominated(const IntervalSummary& x, const VectorClock& past,
-                         bool use_greatest, ComparisonCounter& counter) {
+                         bool use_greatest, QueryCost& counter) {
   for (std::size_t s = 0; s < x.nodes.size(); ++s) {
     ++counter.integer_comparisons;
     const EventIndex idx =
@@ -21,7 +21,7 @@ bool all_nodes_dominated(const IntervalSummary& x, const VectorClock& past,
 }
 
 bool any_node_dominated(const IntervalSummary& x, const VectorClock& past,
-                        bool use_greatest, ComparisonCounter& counter) {
+                        bool use_greatest, QueryCost& counter) {
   for (std::size_t s = 0; s < x.nodes.size(); ++s) {
     ++counter.integer_comparisons;
     const EventIndex idx =
@@ -34,7 +34,7 @@ bool any_node_dominated(const IntervalSummary& x, const VectorClock& past,
 // Does clock dominate X's per-node profile (T(y)[i] >= idx_X(i)+1 ∀i)?
 bool clock_dominates_profile(const VectorClock& clock,
                              const IntervalSummary& x, bool use_greatest,
-                             ComparisonCounter& counter) {
+                             QueryCost& counter) {
   for (std::size_t s = 0; s < x.nodes.size(); ++s) {
     ++counter.integer_comparisons;
     const EventIndex idx =
@@ -47,7 +47,7 @@ bool clock_dominates_profile(const VectorClock& clock,
 }  // namespace
 
 bool evaluate_online(Relation r, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter) {
+                     const IntervalSummary& y, QueryCost& counter) {
   SYNCON_REQUIRE(x.process_count == y.process_count,
                  "summaries from different systems");
   // A summary assembled from wire reports (degraded-mode feed) could in
@@ -107,7 +107,7 @@ bool evaluate_online(Relation r, const IntervalSummary& x,
 }
 
 bool evaluate_online(const RelationId& id, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter) {
+                     const IntervalSummary& y, QueryCost& counter) {
   return evaluate_online(id.relation, x.proxy(id.proxy_x),
                          y.proxy(id.proxy_y), counter);
 }

@@ -24,12 +24,12 @@ namespace syncon {
 
 /// Evaluates R(X, Y) from online summaries (weak semantics).
 bool evaluate_online(Relation r, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter);
+                     const IntervalSummary& y, QueryCost& counter);
 
 /// Full 32-relation form: applies the chosen Defn-2 proxies of the
 /// summaries before evaluating (r(X, Y) ≡ R(X̂, Ŷ)).
 bool evaluate_online(const RelationId& id, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter);
+                     const IntervalSummary& y, QueryCost& counter);
 
 /// Worst-case comparison budget of evaluate_online.
 std::uint64_t online_cost_bound(Relation r, std::size_t n_x, std::size_t n_y);

@@ -245,7 +245,7 @@ class OnlineMonitor {
                       DeadlineCallback callback);
 
   /// Comparison-cost accounting across all fired watches.
-  const ComparisonCounter& counter() const { return counter_; }
+  const QueryCost& counter() const { return counter_; }
 
   /// Watch firings so far, by confidence (re-firings count again).
   std::uint64_t definite_fires() const { return definite_fires_; }
@@ -347,7 +347,7 @@ class OnlineMonitor {
   std::vector<DeadlineWatch> deadline_watches_;
   GapTracker gaps_;
   std::vector<bool> crashed_;
-  ComparisonCounter counter_;
+  QueryCost counter_;
   bool degraded_ = false;
   std::uint64_t duplicate_reports_ = 0;
   std::uint64_t quarantined_ = 0;

@@ -11,21 +11,13 @@
 //   R1, R1', R4, R4'  —  min(|N_X|, |N_Y|)
 //   R2, R3            —  |N_X|
 //   R2', R3'          —  |N_Y|
-//
-// The evaluator is generic over the clock representation: every condition
-// reads cut-timestamp components through the concept's at() accessor (via
-// theorem19_violated and the per-node single-comparison forms), so it runs
-// unchanged over dense and tree cut timestamps. `evaluate_fast`
-// on the dense EventCuts alias is the default everywhere.
 #pragma once
 
 #include <cstdint>
 
 #include "cuts/ll_relation.hpp"
-#include "model/clock.hpp"
 #include "nonatomic/cut_timestamps.hpp"
 #include "relations/relation.hpp"
-#include "support/contracts.hpp"
 
 namespace syncon {
 
@@ -40,102 +32,10 @@ struct FastDebugHooks {
 };
 FastDebugHooks& fast_debug_hooks();
 
-namespace fast_detail {
-
-// ¬≪(down, up) probed at the X side (nodes of N_X): for each i ∈ N_X the
-// up-cut surface is compared against the down-cut at one integer comparison.
-template <ClockRep Clock>
-bool violated_at(const Clock& down, const Clock& up,
-                 std::span<const ProcessId> nodes,
-                 ComparisonCounter& counter) {
-  return theorem19_violated(down, up, nodes, counter);
-}
-
-// Per-node conjunctive tests (R1/R2 via X's nodes): for every i ∈ N_X the
-// single-event cut x↑ of the per-node greatest x has surface index(x) at i,
-// so ¬≪(down, x↑) probed at {i} is one comparison: down[i] >= index(x)+1.
-template <ClockRep Clock>
-bool all_x_tests_pass(const Clock& down, const NonatomicEvent& x,
-                      ComparisonCounter& counter) {
-  for (const ProcessId i : x.node_set()) {
-    ++counter.integer_comparisons;
-    if (down.at(i) < x.greatest_on(i).index + 1) return false;
-  }
-  return true;
-}
-
-// Dual per-node tests (R1'/R3' via Y's nodes): ↓y of the per-node least y
-// has surface index(y) at j, so ¬≪(↓y, up) probed at {j} is one comparison:
-// index(y)+1 >= up[j].
-template <ClockRep Clock>
-bool all_y_tests_pass(const Clock& up, const NonatomicEvent& y,
-                      ComparisonCounter& counter) {
-  for (const ProcessId j : y.node_set()) {
-    ++counter.integer_comparisons;
-    if (y.least_on(j).index + 1 < up.at(j)) return false;
-  }
-  return true;
-}
-
-}  // namespace fast_detail
-
 /// Evaluates R(X, Y) from the cached cut timestamps of X and Y. The counter
 /// accumulates one integer comparison per node probed.
-template <ClockRep Clock>
-bool evaluate_fast(Relation r, const BasicEventCuts<Clock>& x,
-                   const BasicEventCuts<Clock>& y,
-                   ComparisonCounter& counter) {
-  SYNCON_REQUIRE(&x.timestamps() == &y.timestamps(),
-                 "cut timestamps of different executions");
-  const NonatomicEvent& ex = x.event();
-  const NonatomicEvent& ey = y.event();
-  const bool x_side_smaller = ex.node_count() <= ey.node_count();
-
-  using namespace fast_detail;
-  switch (r) {
-    case Relation::R1:
-    case Relation::R1p:
-      // ∀x: ¬≪(∩⇓Y, x↑), or equivalently ∀y: ¬≪(↓y, ∪⇑X); pick the
-      // cheaper route — min(|N_X|, |N_Y|) comparisons.
-      if (x_side_smaller) {
-        return all_x_tests_pass(y.intersect_past(), ex, counter);
-      }
-      return all_y_tests_pass(x.union_future(), ey, counter);
-
-    case Relation::R2:
-      // ∀x: ¬≪(∪⇓Y, x↑) — |N_X| comparisons. The debug hook swaps in the
-      // wrong down-cut (∩⇓Y — R1's condition) for the conformance
-      // subsystem's planted-bug tests.
-      return all_x_tests_pass(fast_debug_hooks().wrong_r2 ? y.intersect_past()
-                                                          : y.union_past(),
-                              ex, counter);
-
-    case Relation::R2p:
-      // ¬≪(∪⇓Y, ∪⇑X) probed at N_Y — |N_Y| comparisons (the ∪⇑X surface
-      // is not early at N_X nodes; probing N_X is unsound, DESIGN.md §3.3b).
-      return violated_at(y.union_past(), x.union_future(), ey.node_set(),
-                         counter);
-
-    case Relation::R3:
-      // ¬≪(∩⇓Y, ∩⇑X) probed at N_X — |N_X| comparisons (dual of R2').
-      return violated_at(y.intersect_past(), x.intersect_future(),
-                         ex.node_set(), counter);
-
-    case Relation::R3p:
-      // ∀y: ¬≪(↓y, ∩⇑X) — |N_Y| comparisons.
-      return all_y_tests_pass(x.intersect_future(), ey, counter);
-
-    case Relation::R4:
-    case Relation::R4p:
-      // ¬≪(∪⇓Y, ∩⇑X): a violation is visible at both N_X and N_Y
-      // (Key Idea 2), so probe the smaller — min(|N_X|, |N_Y|).
-      return violated_at(y.union_past(), x.intersect_future(),
-                         x_side_smaller ? ex.node_set() : ey.node_set(),
-                         counter);
-  }
-  SYNCON_ASSERT(false, "unreachable relation value");
-  return false;
-}
+bool evaluate_fast(Relation r, const EventCuts& x, const EventCuts& y,
+                   QueryCost& counter);
 
 /// Worst-case integer-comparison budget of evaluate_fast for the given node
 /// set sizes (the corrected Theorem 20 bound).

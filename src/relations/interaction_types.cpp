@@ -5,7 +5,7 @@
 namespace syncon {
 
 RelationProfile relation_profile(const EventCuts& x, const EventCuts& y,
-                                 ComparisonCounter& counter) {
+                                 QueryCost& counter) {
   RelationProfile p;
   for (const Relation r : kAllRelations) {
     const auto i = static_cast<std::size_t>(r);

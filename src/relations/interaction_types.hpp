@@ -30,7 +30,7 @@ struct RelationProfile {
 /// Computes the profile with the linear-time evaluators (weak semantics);
 /// at most 16 · max(|N_X|, |N_Y|) integer comparisons.
 RelationProfile relation_profile(const EventCuts& x, const EventCuts& y,
-                                 ComparisonCounter& counter);
+                                 QueryCost& counter);
 
 /// Coarse classification of how X and Y interact causally.
 enum class InteractionType {

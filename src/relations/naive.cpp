@@ -127,7 +127,7 @@ bool evaluate_oracle(Relation r, const NonatomicEvent& x,
 
 bool evaluate_naive(Relation r, const NonatomicEvent& x,
                     const NonatomicEvent& y, const Timestamps& ts,
-                    Semantics sem, ComparisonCounter* counter) {
+                    Semantics sem, QueryCost* counter) {
   SYNCON_REQUIRE(&ts.execution() == &x.execution() &&
                      &x.execution() == &y.execution(),
                  "events/timestamps of different executions");
@@ -140,7 +140,7 @@ bool evaluate_naive(Relation r, const NonatomicEvent& x,
 
 bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
                           const NonatomicEvent& y, const Timestamps& ts,
-                          Semantics sem, ComparisonCounter* counter) {
+                          Semantics sem, QueryCost* counter) {
   SYNCON_REQUIRE(&ts.execution() == &x.execution() &&
                      &x.execution() == &y.execution(),
                  "events/timestamps of different executions");

@@ -26,10 +26,10 @@ bool evaluate_oracle(Relation r, const NonatomicEvent& x,
 
 bool evaluate_naive(Relation r, const NonatomicEvent& x,
                     const NonatomicEvent& y, const Timestamps& ts,
-                    Semantics sem, ComparisonCounter* counter = nullptr);
+                    Semantics sem, QueryCost* counter = nullptr);
 
 bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
                           const NonatomicEvent& y, const Timestamps& ts,
-                          Semantics sem, ComparisonCounter* counter = nullptr);
+                          Semantics sem, QueryCost* counter = nullptr);
 
 }  // namespace syncon

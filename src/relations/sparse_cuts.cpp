@@ -12,7 +12,7 @@ SparseEventCuts::SparseEventCuts(const Timestamps& ts,
 }
 
 ClockValue SparseEventCuts::component(PosetCut which, ProcessId i,
-                                      ComparisonCounter* counter) const {
+                                      QueryCost* counter) const {
   const bool past = which == PosetCut::IntersectPast ||
                     which == PosetCut::UnionPast;
   const bool is_min = which == PosetCut::IntersectPast ||
@@ -55,7 +55,7 @@ namespace {
 bool violated_sparse(const SparseEventCuts& y_cuts, PosetCut down,
                      const SparseEventCuts& x_cuts, PosetCut up,
                      const std::vector<ProcessId>& nodes,
-                     ComparisonCounter& counter) {
+                     QueryCost& counter) {
   for (const ProcessId i : nodes) {
     const ClockValue d = y_cuts.component(down, i, &counter);
     const ClockValue u = x_cuts.component(up, i, &counter);
@@ -69,7 +69,7 @@ bool violated_sparse(const SparseEventCuts& y_cuts, PosetCut down,
 
 bool evaluate_fast_sparse(Relation r, const SparseEventCuts& x,
                           const SparseEventCuts& y,
-                          ComparisonCounter& counter) {
+                          QueryCost& counter) {
   SYNCON_REQUIRE(&x.timestamps() == &y.timestamps(),
                  "cuts of different executions");
   const NonatomicEvent& ex = x.event();

@@ -33,7 +33,7 @@ class SparseEventCuts {
   /// each lookup is counted as one integer comparison in `counter` because
   /// the min/max fold compares once per extreme event).
   ClockValue component(PosetCut which, ProcessId i,
-                       ComparisonCounter* counter = nullptr) const;
+                       QueryCost* counter = nullptr) const;
 
   /// Materializes all |P| components (for cross-validation).
   VectorClock counts(PosetCut which) const;
@@ -47,6 +47,6 @@ class SparseEventCuts {
 /// comparison counter now reflects the on-demand component derivations.
 bool evaluate_fast_sparse(Relation r, const SparseEventCuts& x,
                           const SparseEventCuts& y,
-                          ComparisonCounter& counter);
+                          QueryCost& counter);
 
 }  // namespace syncon

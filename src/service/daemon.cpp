@@ -77,7 +77,10 @@ void MonitorDaemon::apply_frame(Shard& shard, const QueuedFrame& frame) {
   }
 
   if (view.kind == FrameKind::kHello) {
-    if (shard.sessions.count(view.tenant) != 0) return;  // idempotent replay
+    if (shard.sessions.count(view.tenant) != 0) {
+      ++shard.quarantined;  // a second hello for a live tenant
+      return;
+    }
     std::size_t processes = 0, resync_chunk = 0;
     if (!decode_hello(view, processes, resync_chunk)) {
       ++shard.quarantined;
@@ -97,12 +100,19 @@ void MonitorDaemon::apply_frame(Shard& shard, const QueuedFrame& frame) {
   }
   TenantSession& session = *it->second;
   TenantOp op;
-  if (!session.decoder.decode(view, op)) {
+  bool applied = session.decoder.decode(view, op);
+  if (applied) {
+    // The core quarantines an op it rejects instead of throwing; the frame
+    // that carried it counts as quarantined, not applied.
+    const std::uint64_t rejected = session.core.quarantined();
+    session.core.apply(op);
+    applied = session.core.quarantined() == rejected;
+  }
+  if (!applied) {
     ++session.quarantined_frames;
+    ++shard.quarantined;
     return;
   }
-  session.core.apply(op);
-  ++session.frames;
   ++shard.frames_applied;
   if (frame.enqueued_us != 0 && obs::enabled()) {
     record_ingest_latency(obs::now_us() - frame.enqueued_us);
@@ -229,8 +239,6 @@ DaemonStats MonitorDaemon::stats() const {
     for (const auto& [tenant, session] : shard->sessions) {
       (void)tenant;
       ++stats.tenants;
-      stats.frames_quarantined +=
-          session->quarantined_frames + session->core.quarantined();
       stats.verdicts += session->core.definite_verdicts().size();
       stats.live_log_events += session->core.system().live_log_events();
     }
@@ -276,8 +284,7 @@ void MonitorDaemon::publish_metrics() const {
         .set(static_cast<std::int64_t>(
             session->core.definite_verdicts().size()));
     registry.gauge("syncon_service_tenant_quarantined" + labels)
-        .set(static_cast<std::int64_t>(session->quarantined_frames +
-                                       session->core.quarantined()));
+        .set(static_cast<std::int64_t>(session->quarantined_frames));
     ++published;
   }
 }

@@ -60,9 +60,13 @@ struct Admission {
 
 struct DaemonStats {
   std::size_t tenants = 0;
+  /// Every accepted (or journal-replayed) frame ends in exactly one of
+  /// frames_applied and frames_quarantined. Applied: a hello that opened a
+  /// session, or an op its session core accepted.
   std::uint64_t frames_applied = 0;
-  /// Envelope-corrupt + unroutable + out-of-sequence + session-contract
-  /// rejections, summed — every way a frame can fail without killing us.
+  /// Envelope-corrupt, unroutable (no session), a second hello for a live
+  /// tenant, out-of-sequence or undecodable, or an op the session core
+  /// rejected — every way a frame can fail without killing us.
   std::uint64_t frames_quarantined = 0;
   std::uint64_t rejected_submits = 0;
   std::uint64_t verdicts = 0;
@@ -122,7 +126,6 @@ class MonitorDaemon {
         : core(processes, resync_chunk), decoder(processes, hello_seq) {}
     TenantSessionCore core;
     TenantStreamDecoder decoder;
-    std::uint64_t frames = 0;
     std::uint64_t quarantined_frames = 0;
   };
 

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -131,6 +132,21 @@ void CliParser::print_help() const {
                   opt.help.c_str(), opt.default_value.c_str());
     }
   }
+}
+
+int run_tool(const char* program, int argc, char** argv,
+             int (*body)(int, char**)) {
+  std::string message;
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    message = e.what();
+  } catch (...) {
+    message = "unknown exception";
+  }
+  std::replace(message.begin(), message.end(), '\n', ' ');
+  std::fprintf(stderr, "%s: %s\n", program, message.c_str());
+  return 2;
 }
 
 }  // namespace syncon

@@ -48,4 +48,10 @@ class CliParser {
   std::vector<std::string> positional_;
 };
 
+/// Top-level error boundary of a command-line tool: returns body(argc,
+/// argv). An exception escaping the body becomes one stderr line
+/// "<program>: <message>" and exit status 2 instead of terminate().
+int run_tool(const char* program, int argc, char** argv,
+             int (*body)(int, char**));
+
 }  // namespace syncon

@@ -19,12 +19,10 @@
 #include "support/table.hpp"        // IWYU pragma: export
 #include "support/thread_pool.hpp"  // IWYU pragma: export
 
-#include "model/clock.hpp"            // IWYU pragma: export
 #include "model/execution.hpp"     // IWYU pragma: export
 #include "model/reachability.hpp"  // IWYU pragma: export
 #include "model/scalar_clock.hpp"  // IWYU pragma: export
 #include "model/timestamps.hpp"    // IWYU pragma: export
-#include "model/tree_clock.hpp"    // IWYU pragma: export
 #include "model/types.hpp"         // IWYU pragma: export
 #include "model/vector_clock.hpp"  // IWYU pragma: export
 

@@ -14,8 +14,8 @@
 namespace syncon::check {
 namespace {
 
-TEST(CheckPropertiesTest, RegistryExposesAllTwelveProperties) {
-  EXPECT_EQ(all_properties().size(), 12u);
+TEST(CheckPropertiesTest, RegistryExposesAllElevenProperties) {
+  EXPECT_EQ(all_properties().size(), 11u);
   for (const PropertyInfo& info : all_properties()) {
     EXPECT_EQ(find_property(info.name), &info);
     EXPECT_FALSE(info.description.empty());

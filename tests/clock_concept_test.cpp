@@ -1,9 +1,6 @@
-// Contract suite for the clock concept (model/clock.hpp): every backend
-// must satisfy the same lattice laws, order semantics and tick
-// monotonicity. The laws are checked on deterministic pseudo-random
-// clocks, so sparse/structured backends are exercised on both their fast
-// and fallback paths; a separate causal simulation pins the
-// TreeClock pruned joins against the dense backend step by step.
+// Contract suite for VectorClock as a lattice: the join/meet laws, the
+// order they induce, tick monotonicity and the self-delimiting codec. The
+// laws are checked on deterministic pseudo-random clocks of sizes 1..9.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,74 +8,59 @@
 #include <span>
 #include <vector>
 
-#include "model/clock.hpp"
-#include "model/tree_clock.hpp"
 #include "model/vector_clock.hpp"
 
 namespace syncon {
 namespace {
 
-static_assert(ClockRep<VectorClock>);
-static_assert(ClockRep<TreeClock>);
-
-template <typename Clock>
-class ClockConceptTest : public ::testing::Test {
- protected:
-  Clock random_clock(std::size_t size, std::mt19937& rng,
-                     ClockValue max_value = 12) {
-    std::uniform_int_distribution<ClockValue> dist(0, max_value);
-    Clock c(size, 0);
-    for (std::size_t i = 0; i < size; ++i) c.set(i, dist(rng));
-    return c;
-  }
-};
-
-using Backends = ::testing::Types<VectorClock, TreeClock>;
-TYPED_TEST_SUITE(ClockConceptTest, Backends);
-
-TYPED_TEST(ClockConceptTest, FillConstructionAndAccess) {
-  TypeParam c(4, 3);
-  ASSERT_EQ(c.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(c.at(i), 3u);
-  c.set(2, 9);
-  EXPECT_EQ(c.at(2), 9u);
-  c.tick(2);
-  EXPECT_EQ(c.at(2), 10u);
-  EXPECT_EQ(c.at(1), 3u);
+VectorClock join(VectorClock a, const VectorClock& b) {
+  a.merge_max(b);
+  return a;
 }
 
-TYPED_TEST(ClockConceptTest, LatticeLaws) {
+VectorClock meet(VectorClock a, const VectorClock& b) {
+  a.merge_min(b);
+  return a;
+}
+
+VectorClock random_clock(std::size_t size, std::mt19937& rng,
+                         ClockValue max_value = 12) {
+  std::uniform_int_distribution<ClockValue> dist(0, max_value);
+  VectorClock c(size, 0);
+  for (std::size_t i = 0; i < size; ++i) c.set(i, dist(rng));
+  return c;
+}
+
+TEST(ClockConceptTest, LatticeLaws) {
   std::mt19937 rng(7);
   for (int round = 0; round < 200; ++round) {
     const std::size_t size = static_cast<std::size_t>(1 + round % 9);
-    const TypeParam a = this->random_clock(size, rng);
-    const TypeParam b = this->random_clock(size, rng);
-    const TypeParam c = this->random_clock(size, rng);
+    const VectorClock a = random_clock(size, rng);
+    const VectorClock b = random_clock(size, rng);
+    const VectorClock c = random_clock(size, rng);
 
     // Commutativity.
-    EXPECT_EQ(component_max(a, b), component_max(b, a));
-    EXPECT_EQ(component_min(a, b), component_min(b, a));
+    EXPECT_EQ(join(a, b), join(b, a));
+    EXPECT_EQ(meet(a, b), meet(b, a));
     // Associativity.
-    EXPECT_EQ(component_max(component_max(a, b), c),
-              component_max(a, component_max(b, c)));
-    EXPECT_EQ(component_min(component_min(a, b), c),
-              component_min(a, component_min(b, c)));
+    EXPECT_EQ(join(join(a, b), c), join(a, join(b, c)));
+    EXPECT_EQ(meet(meet(a, b), c), meet(a, meet(b, c)));
     // Idempotence and absorption.
-    EXPECT_EQ(component_max(a, a), a);
-    EXPECT_EQ(component_min(a, a), a);
-    EXPECT_EQ(component_max(a, component_min(a, b)), a);
-    EXPECT_EQ(component_min(a, component_max(a, b)), a);
+    EXPECT_EQ(join(a, a), a);
+    EXPECT_EQ(meet(a, a), a);
+    EXPECT_EQ(join(a, meet(a, b)), a);
+    EXPECT_EQ(meet(a, join(a, b)), a);
   }
 }
 
-TYPED_TEST(ClockConceptTest, OrderIsTheLatticeOrder) {
+TEST(ClockConceptTest, OrderIsTheLatticeOrder) {
   std::mt19937 rng(11);
   for (int round = 0; round < 200; ++round) {
     const std::size_t size = static_cast<std::size_t>(1 + round % 9);
-    const TypeParam a = this->random_clock(size, rng, 4);
-    const TypeParam b = this->random_clock(size, rng, 4);
+    const VectorClock a = random_clock(size, rng, 4);
+    const VectorClock b = random_clock(size, rng, 4);
     // a.leq(b) iff joining a into b changes nothing.
-    EXPECT_EQ(a.leq(b), component_max(a, b) == b);
+    EXPECT_EQ(a.leq(b), join(a, b) == b);
     EXPECT_EQ(a.lt(b), a.leq(b) && !(a == b));
     EXPECT_EQ(a.incomparable(b), !a.leq(b) && !b.leq(a));
     // Antisymmetry.
@@ -86,17 +68,17 @@ TYPED_TEST(ClockConceptTest, OrderIsTheLatticeOrder) {
       EXPECT_EQ(a, b);
     }
     // The meet and join bracket both operands.
-    EXPECT_TRUE(component_min(a, b).leq(a));
-    EXPECT_TRUE(a.leq(component_max(a, b)));
+    EXPECT_TRUE(meet(a, b).leq(a));
+    EXPECT_TRUE(a.leq(join(a, b)));
   }
 }
 
-TYPED_TEST(ClockConceptTest, TickIsStrictlyMonotone) {
+TEST(ClockConceptTest, TickIsStrictlyMonotone) {
   std::mt19937 rng(13);
   for (int round = 0; round < 50; ++round) {
     const std::size_t size = static_cast<std::size_t>(1 + round % 9);
-    TypeParam c = this->random_clock(size, rng);
-    const TypeParam before = c;
+    VectorClock c = random_clock(size, rng);
+    const VectorClock before = c;
     const std::size_t i = static_cast<std::size_t>(round) % size;
     c.tick(i);
     EXPECT_TRUE(before.lt(c));
@@ -109,19 +91,7 @@ TYPED_TEST(ClockConceptTest, TickIsStrictlyMonotone) {
   }
 }
 
-TYPED_TEST(ClockConceptTest, DenseConversionRoundTrips) {
-  std::mt19937 rng(17);
-  for (int round = 0; round < 50; ++round) {
-    const TypeParam c = this->random_clock(static_cast<std::size_t>(1 + round % 9), rng);
-    const VectorClock dense = c.to_dense();
-    ASSERT_EQ(dense.size(), c.size());
-    for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(dense.at(i), c.at(i));
-    EXPECT_EQ(TypeParam::from_dense(dense), c);
-  }
-}
-
-// VectorClock::encode/decode is the one absolute clock serialization; other
-// backends reach it through to_dense().
+// VectorClock::encode/decode is the one absolute clock serialization.
 TEST(VectorClockSerializationTest, SerializationRoundTripsAndConcatenates) {
   std::mt19937 rng(19);
   std::uniform_int_distribution<ClockValue> dist(0, 3);
@@ -142,70 +112,6 @@ TEST(VectorClockSerializationTest, SerializationRoundTripsAndConcatenates) {
     EXPECT_EQ(VectorClock::decode(in), original);
   }
   EXPECT_TRUE(in.empty());
-}
-
-// Step-for-step simulation of a message-passing run under the stamping
-// discipline (start from the predecessor or the all-ones floor, tick the
-// owner, join the piggybacked clocks): the TreeClock must stay on its
-// causal fast path and agree with the dense backend after every event.
-TEST(TreeClockCausalTest, SimulatedRunMatchesDenseAndStaysCausal) {
-  constexpr std::size_t kProcs = 8;
-  constexpr int kEvents = 600;
-  std::mt19937 rng(23);
-  std::uniform_int_distribution<std::size_t> proc_dist(0, kProcs - 1);
-  std::uniform_int_distribution<int> kind_dist(0, 3);
-
-  std::vector<TreeClock> tree(kProcs, TreeClock(kProcs, 1));
-  std::vector<VectorClock> dense(kProcs, VectorClock(kProcs, 1));
-  // In-flight messages: (tree clock, dense clock) pairs.
-  std::vector<std::pair<TreeClock, VectorClock>> in_flight;
-
-  for (int step = 0; step < kEvents; ++step) {
-    const std::size_t p = proc_dist(rng);
-    tree[p].tick(p);
-    dense[p].tick(p);
-    const int kind = kind_dist(rng);
-    if (kind == 0 || in_flight.empty()) {
-      // Send: snapshot the post-tick clock onto the wire.
-      in_flight.emplace_back(tree[p], dense[p]);
-    } else if (kind == 1) {
-      // Receive one pending message (any order across links).
-      std::uniform_int_distribution<std::size_t> pick(0, in_flight.size() - 1);
-      const std::size_t m = pick(rng);
-      tree[p].merge_max(in_flight[m].first);
-      dense[p].merge_max(in_flight[m].second);
-      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(m));
-    }
-    ASSERT_TRUE(tree[p].causal()) << "step " << step;
-    ASSERT_EQ(tree[p].root(), static_cast<ProcessId>(p));
-    ASSERT_EQ(tree[p].to_dense(), dense[p]) << "step " << step;
-  }
-}
-
-// Non-causal inputs (arbitrary set() values) must demote TreeClock to its
-// dense fallback, never silently prune.
-TEST(TreeClockCausalTest, ArbitraryWritesDemoteToDenseFallback) {
-  TreeClock a(4, 1);
-  a.tick(2);
-  EXPECT_TRUE(a.causal());
-  a.set(0, 9);
-  EXPECT_FALSE(a.causal());
-
-  TreeClock b(4, 1);
-  b.tick(1);
-  b.merge_max(a);  // non-causal source → dense path
-  EXPECT_FALSE(b.causal());
-  EXPECT_EQ(b.to_dense(), VectorClock({9, 2, 2, 1}));
-}
-
-TEST(TreeClockCausalTest, MergeMinIsNonCausal) {
-  TreeClock a(3, 1);
-  a.tick(0);
-  TreeClock b(3, 1);
-  b.tick(1);
-  a.merge_min(b);
-  EXPECT_FALSE(a.causal());
-  EXPECT_EQ(a.to_dense(), VectorClock({1, 1, 1}));
 }
 
 }  // namespace

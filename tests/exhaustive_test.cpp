@@ -56,7 +56,7 @@ void exhaustive_check(const Execution& exec) {
   for (std::size_t x = 0; x < subsets.size(); ++x) {
     for (std::size_t y = 0; y < subsets.size(); ++y) {
       for (const Relation r : kAllRelations) {
-        ComparisonCounter counter;
+        QueryCost counter;
         const bool fast = evaluate_fast(r, cuts[x], cuts[y], counter);
         const bool truth =
             evaluate_oracle(r, subsets[x], subsets[y], oracle,

@@ -90,7 +90,7 @@ TEST(HierarchyTest, NonImplicationsHaveWitnesses) {
   const NonatomicEvent x(exec, {x1, x2}, "X");
   const NonatomicEvent y(exec, {y1, y2}, "Y");
   const EventCuts xc(ts, x), yc(ts, y);
-  ComparisonCounter c;
+  QueryCost c;
   // R2 holds (each x reaches its own y) but R2' fails (no single y sees
   // both xs) and R3 fails (no single x seeds both ys).
   EXPECT_TRUE(evaluate_fast(Relation::R2, xc, yc, c));

@@ -88,7 +88,7 @@ TEST_P(InferencePropertyTest, PropagatedFactsAreTrue) {
   for (std::size_t i = 0; i + 1 < kIntervals; ++i) {
     const EventCuts a(ts, eval.event(eval.handle_at(i)));
     const EventCuts b(ts, eval.event(eval.handle_at(i + 1)));
-    ComparisonCounter counter;
+    QueryCost counter;
     for (const Relation r : kAllRelations) {
       if (evaluate_fast(r, a, b, counter)) {
         knowledge.assert_fact(i, i + 1, r);
@@ -102,7 +102,7 @@ TEST_P(InferencePropertyTest, PropagatedFactsAreTrue) {
       if (x == y) continue;
       const EventCuts a(ts, eval.event(eval.handle_at(x)));
       const EventCuts b(ts, eval.event(eval.handle_at(y)));
-      ComparisonCounter counter;
+      QueryCost counter;
       for (const Relation r : kAllRelations) {
         if (knowledge.known(x, y, r)) {
           ASSERT_TRUE(evaluate_fast(r, a, b, counter))

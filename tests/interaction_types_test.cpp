@@ -15,7 +15,7 @@ using testing::two_process_message;
 RelationProfile profile_of(const Timestamps& ts, const NonatomicEvent& x,
                            const NonatomicEvent& y) {
   const EventCuts xc(ts, x), yc(ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   return relation_profile(xc, yc, counter);
 }
 

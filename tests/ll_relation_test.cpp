@@ -75,7 +75,7 @@ TEST(LLRelationTest, DegenerateDivergenceOnEmptyProcessFinals) {
 
 TEST(Theorem19Test, ProbeFindsViolationAtListedNode) {
   const Execution exec = two_process_message();
-  ComparisonCounter counter;
+  QueryCost counter;
   const VectorClock down({3, 1});
   const VectorClock up({3, 4});
   const std::vector<ProcessId> nodes{0};
@@ -84,7 +84,7 @@ TEST(Theorem19Test, ProbeFindsViolationAtListedNode) {
 }
 
 TEST(Theorem19Test, ProbeCountsOnePerNodeUntilHit) {
-  ComparisonCounter counter;
+  QueryCost counter;
   const VectorClock down({1, 1, 5, 9});
   const VectorClock up({9, 9, 5, 1});
   const std::vector<ProcessId> nodes{0, 1, 2, 3};
@@ -93,7 +93,7 @@ TEST(Theorem19Test, ProbeCountsOnePerNodeUntilHit) {
 }
 
 TEST(Theorem19Test, NoViolationCostsAllProbes) {
-  ComparisonCounter counter;
+  QueryCost counter;
   const VectorClock down({1, 2, 3});
   const VectorClock up({2, 3, 4});
   const std::vector<ProcessId> nodes{0, 1, 2};
@@ -121,7 +121,7 @@ TEST_P(LLPropertyTest, SingleEventCutProbesMatchCanonical) {
     const Cut down = past_cut(ts, y);
     const Cut up = future_cut(ts, x);
     const bool canonical = !ll(down, up);
-    ComparisonCounter counter;
+    QueryCost counter;
     // For single events, N_X = {node(x)} and N_Y = {node(y)}; both probes
     // must agree with the canonical full scan.
     const std::vector<ProcessId> nx{x.process};

@@ -285,7 +285,7 @@ TEST_P(OnlineMonitorPropertyTest, ProxyRelationsMatchOffline) {
     for (const EventId& e : y.events()) ty.add(sys, e);
     const IntervalSummary sx = tx.summary(), sy = ty.summary();
     for (const RelationId& id : all_relation_ids()) {
-      ComparisonCounter counter;
+      QueryCost counter;
       const bool online = evaluate_online(id, sx, sy, counter);
       const bool offline =
           evaluate_naive(id.relation, x.proxy_per_node(id.proxy_x),

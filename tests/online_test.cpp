@@ -312,7 +312,7 @@ TEST(OnlineEvaluatorTest, RejectsMalformedSummaries) {
   ty.add(sys, sys.local(1));
   const IntervalSummary good_x = tx.summary();
   IntervalSummary bad_y = ty.summary();
-  ComparisonCounter counter;
+  QueryCost counter;
   // Mismatched process counts are two different systems.
   bad_y.process_count = 3;
   EXPECT_THROW(evaluate_online(Relation::R1, good_x, bad_y, counter),
@@ -372,7 +372,7 @@ TEST_P(OnlinePropertyTest, OnlineEvaluationMatchesWeakNaive) {
     const IntervalSummary sx = tx.summary();
     const IntervalSummary sy = ty.summary();
     for (const Relation r : kAllRelations) {
-      ComparisonCounter counter;
+      QueryCost counter;
       ASSERT_EQ(evaluate_online(r, sx, sy, counter),
                 evaluate_naive(r, x, y, ts, Semantics::Weak))
           << to_string(r) << " trial " << trial;

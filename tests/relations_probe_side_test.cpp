@@ -34,7 +34,7 @@ TEST(ProbeSideTest, R3CounterexampleDefeatsNYProbing) {
   EXPECT_TRUE(evaluate_naive(Relation::R3, x, y, ts, Semantics::Strict));
 
   const EventCuts xc(ts, x), yc(ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   // Our evaluator (probing N_X) gets it right.
   EXPECT_TRUE(evaluate_fast(Relation::R3, xc, yc, counter));
   // Probing N_Y, as the paper's min() claim would allow, misses the
@@ -64,7 +64,7 @@ TEST(ProbeSideTest, R2pCounterexampleDefeatsNXProbing) {
   EXPECT_TRUE(evaluate_naive(Relation::R2p, x, y, ts, Semantics::Strict));
 
   const EventCuts xc(ts, x), yc(ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   EXPECT_TRUE(evaluate_fast(Relation::R2p, xc, yc, counter));
   EXPECT_FALSE(theorem19_violated(yc.union_past(), xc.union_future(),
                                   x.node_set(), counter));
@@ -91,7 +91,7 @@ TEST_P(ProbeSidePropertyTest, R4ViolationVisibleFromBothSides) {
     const NonatomicEvent x = random_interval(exec, rng, spec, "X");
     const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
     const EventCuts xc(ts, x), yc(ts, y);
-    ComparisonCounter counter;
+    QueryCost counter;
     const bool via_x = theorem19_violated(
         yc.union_past(), xc.intersect_future(), x.node_set(), counter);
     const bool via_y = theorem19_violated(

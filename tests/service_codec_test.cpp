@@ -258,8 +258,10 @@ std::vector<std::uint8_t> mutate_body(const std::vector<std::uint8_t>& frame,
 // Every corruption test above is stopped by the CRC or the sequence guard
 // before body decoding. This one re-wraps damaged bodies under a valid CRC
 // and in sequence, so the link codecs and the session core see hostile
-// bytes: the daemon must never throw, and every frame must end up applied
-// or quarantined. The header is left intact — a damaged header is the
+// bytes: the daemon must never throw, and every accepted frame must end up
+// either applied or quarantined, exactly once — a frame whose op the
+// session core rejects included. A second hello for a live tenant is
+// quarantined too. The header is left intact — a damaged header is the
 // sequence guard's job, covered by the splice tests.
 TEST(ServiceCodecTest, CrcValidBodyMutationsNeverEscapeTheDaemon) {
   constexpr std::uint64_t kTenants = 3;
@@ -272,9 +274,11 @@ TEST(ServiceCodecTest, CrcValidBodyMutationsNeverEscapeTheDaemon) {
     options.queue_capacity = 16;  // backpressure pumps mid-stream
     MonitorDaemon daemon(options, pool);
     std::uint64_t submitted = 0;
+    std::vector<std::vector<std::uint8_t>> hellos;
     for (std::uint64_t t = 0; t < kTenants; ++t) {
       auto frames = encode_frames(
           encoder, t, generate_tenant_script(faulty_workload(seed * 8 + t)));
+      hellos.push_back(frames.front());
       for (std::size_t i = 0; i < frames.size(); ++i) {
         // The hello stays clean; a quarter of the ops are damaged.
         if (i > 0 && rng() % 4 == 0) frames[i] = mutate_body(frames[i], rng);
@@ -286,8 +290,6 @@ TEST(ServiceCodecTest, CrcValidBodyMutationsNeverEscapeTheDaemon) {
     }
     ASSERT_NO_THROW(daemon.pump()) << "seed " << seed;
 
-    // frames_quarantined also counts what the session cores rejected after
-    // a frame was applied; without those, every frame counts exactly once.
     const DaemonStats stats = daemon.stats();
     std::uint64_t rejected_ops = 0;
     for (std::uint64_t t = 0; t < kTenants; ++t) {
@@ -295,10 +297,24 @@ TEST(ServiceCodecTest, CrcValidBodyMutationsNeverEscapeTheDaemon) {
       rejected_ops += daemon.session(t)->quarantined();
     }
     EXPECT_EQ(stats.tenants, kTenants);
-    EXPECT_GT(stats.frames_quarantined, 0u) << "seed " << seed;
-    EXPECT_EQ(stats.frames_applied + stats.frames_quarantined - rejected_ops,
-              submitted)
+    EXPECT_GT(rejected_ops, 0u) << "seed " << seed;
+    EXPECT_GE(stats.frames_quarantined, rejected_ops) << "seed " << seed;
+    EXPECT_EQ(stats.frames_applied + stats.frames_quarantined, submitted)
         << "seed " << seed;
+
+    // Duplicate hellos: quarantined, the sessions untouched.
+    for (const auto& hello : hellos) {
+      ASSERT_TRUE(daemon.submit(hello).accepted);
+      ++submitted;
+    }
+    ASSERT_NO_THROW(daemon.pump()) << "seed " << seed;
+    const DaemonStats after = daemon.stats();
+    EXPECT_EQ(after.frames_applied, stats.frames_applied) << "seed " << seed;
+    EXPECT_EQ(after.frames_quarantined, stats.frames_quarantined + kTenants)
+        << "seed " << seed;
+    EXPECT_EQ(after.frames_applied + after.frames_quarantined, submitted)
+        << "seed " << seed;
+    EXPECT_EQ(after.verdicts, stats.verdicts) << "seed " << seed;
     pool.drain();
   }
 }

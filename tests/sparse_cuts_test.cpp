@@ -28,7 +28,7 @@ TEST(SparseCutsTest, ComponentCostIsNodeCount) {
   const Timestamps ts(fig.exec);
   const NonatomicEvent x(fig.exec, fig.x_events, "X");
   const SparseEventCuts sparse(ts, x);
-  ComparisonCounter counter;
+  QueryCost counter;
   (void)sparse.component(PosetCut::UnionPast, 2, &counter);
   EXPECT_EQ(counter.integer_comparisons, x.node_count());
 }
@@ -68,7 +68,7 @@ TEST_P(SparseCutsPropertyTest, SparseEvaluationMatchesDense) {
     const EventCuts dx(ts, x), dy(ts, y);
     const SparseEventCuts sx(ts, x), sy(ts, y);
     for (const Relation r : kAllRelations) {
-      ComparisonCounter dense_c, sparse_c;
+      QueryCost dense_c, sparse_c;
       const bool dense_v = evaluate_fast(r, dx, dy, dense_c);
       const bool sparse_v = evaluate_fast_sparse(r, sx, sy, sparse_c);
       ASSERT_EQ(dense_v, sparse_v) << to_string(r);

@@ -68,7 +68,7 @@ void cross_check_all_tiers(const Execution& exec, std::uint64_t seed,
     for (const EventId& e : y.events()) ty.add(sys, e);
     const IntervalSummary sx = tx.summary(), sy = ty.summary();
     for (const Relation r : kAllRelations) {
-      ComparisonCounter c;
+      QueryCost c;
       const bool truth = evaluate_naive(r, x, y, ts, Semantics::Weak);
       ASSERT_EQ(evaluate_fast(r, xc, yc, c), truth) << to_string(r);
       ASSERT_EQ(evaluate_proxy_naive(r, x, y, ts, Semantics::Weak), truth);

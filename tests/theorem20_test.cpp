@@ -27,7 +27,7 @@ TEST_P(Theorem20Test, ComparisonsNeverExceedBound) {
     const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
     const EventCuts xc(ts, x), yc(ts, y);
     for (const Relation r : kAllRelations) {
-      ComparisonCounter counter;
+      QueryCost counter;
       (void)evaluate_fast(r, xc, yc, counter);
       const std::uint64_t bound =
           theorem20_bound(r, x.node_count(), y.node_count());
@@ -68,7 +68,7 @@ TEST(Theorem20TightnessTest, BoundsAttainedWhenRelationHolds) {
   const EventCuts xc(ts, x), yc(ts, y);
 
   for (const Relation r : kAllRelations) {
-    ComparisonCounter counter;
+    QueryCost counter;
     ASSERT_TRUE(evaluate_fast(r, xc, yc, counter)) << to_string(r);
     // Conjunctive relations (per-node ∀ tests) cannot exit early when they
     // hold, so they attain the bound exactly; the single-≪ relations exit
@@ -100,7 +100,7 @@ TEST(Theorem20TightnessTest, BoundsAttainedWhenRelationFails) {
 
   for (const Relation r :
        {Relation::R2p, Relation::R3, Relation::R4, Relation::R4p}) {
-    ComparisonCounter counter;
+    QueryCost counter;
     ASSERT_FALSE(evaluate_fast(r, xc, yc, counter)) << to_string(r);
     EXPECT_EQ(counter.integer_comparisons,
               theorem20_bound(r, x.node_count(), y.node_count()))

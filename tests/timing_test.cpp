@@ -119,7 +119,7 @@ TEST_P(TimingPropertyTest, CausalPrecedenceImpliesTemporalPrecedence) {
     const NonatomicEvent x = random_interval(exec, rng, spec, "X");
     const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
     const EventCuts xc(ts, x), yc(ts, y);
-    ComparisonCounter counter;
+    QueryCost counter;
     // R1 on (U, L) proxies == every end event ≺ every begin event, so the
     // physical end must precede the physical start.
     const NonatomicEvent ux = x.proxy_per_node(ProxyKind::End);

@@ -2,12 +2,21 @@
 
 #include <sstream>
 
-#include "model/clock.hpp"
 #include "model/vector_clock.hpp"
 #include "support/contracts.hpp"
 
 namespace syncon {
 namespace {
+
+VectorClock join(VectorClock a, const VectorClock& b) {
+  a.merge_max(b);
+  return a;
+}
+
+VectorClock meet(VectorClock a, const VectorClock& b) {
+  a.merge_min(b);
+  return a;
+}
 
 TEST(VectorClockTest, FillConstructor) {
   VectorClock vc(3, 7);
@@ -71,16 +80,16 @@ TEST(VectorClockTest, IncomparableDetected) {
 TEST(VectorClockTest, LatticeAlgebra) {
   const VectorClock a({1, 4, 2});
   const VectorClock b({2, 3, 2});
-  const VectorClock lo = component_min(a, b);
-  const VectorClock hi = component_max(a, b);
+  const VectorClock lo = meet(a, b);
+  const VectorClock hi = join(a, b);
   // min is the greatest lower bound, max the least upper bound.
   EXPECT_TRUE(lo.leq(a));
   EXPECT_TRUE(lo.leq(b));
   EXPECT_TRUE(a.leq(hi));
   EXPECT_TRUE(b.leq(hi));
   // Absorption: min(a, max(a,b)) == a.
-  EXPECT_EQ(component_min(a, hi), a);
-  EXPECT_EQ(component_max(a, lo), a);
+  EXPECT_EQ(meet(a, hi), a);
+  EXPECT_EQ(join(a, lo), a);
 }
 
 TEST(VectorClockTest, StreamFormat) {

@@ -82,9 +82,7 @@ int run_single_case(const CheckCase& c, std::uint64_t case_seed,
   return status;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int tool_main(int argc, char** argv) {
   CliParser cli("syncon_check",
                 "Differential conformance fuzzer: random executions vs the "
                 "library's reference semantics, with delta-debugged repros.");
@@ -165,4 +163,10 @@ int main(int argc, char** argv) {
               << failure.repro;
   }
   return report.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return syncon::run_tool("syncon_check", argc, argv, tool_main);
 }

@@ -165,9 +165,7 @@ void report_violation(const CheckCase& c, std::uint64_t case_seed,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int tool_main(int argc, char** argv) {
   CliParser cli("syncon_explore",
                 "DPOR delivery-schedule explorer: enumerate every "
                 "inequivalent interleaving of a bounded universe and prove "
@@ -309,4 +307,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return syncon::run_tool("syncon_explore", argc, argv, tool_main);
 }

@@ -40,7 +40,9 @@
 
 using namespace syncon;
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(int argc, char** argv) {
   CliParser cli("syncon_metricsd",
                 "soak-driving observability daemon: scrape endpoint + "
                 "causal-trace / waterfall / flight-recorder export");
@@ -229,4 +231,10 @@ int main(int argc, char** argv) {
   ThreadPool::shared().drain();
 
   return status;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return syncon::run_tool("syncon_metricsd", argc, argv, tool_main);
 }

@@ -26,6 +26,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/serve.hpp"
+#include "obs/telemetry.hpp"
 #include "service/daemon.hpp"
 #include "service/load.hpp"
 #include "support/cli.hpp"
@@ -42,9 +43,7 @@ long peak_rss_kib() {
   return usage.ru_maxrss;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int tool_main(int argc, char** argv) {
   CliParser cli("syncon_monitord",
                 "sharded multi-tenant monitoring daemon: scripted tenant "
                 "load through the wire codec with verdict-identity checks");
@@ -203,4 +202,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return syncon::run_tool("syncon_monitord", argc, argv, tool_main);
 }
