@@ -85,9 +85,13 @@ inline ThreadPool& pool_with(std::size_t threads) {
   return *pools.back();
 }
 
-/// Turns telemetry on for the whole benchmark run (DESIGN.md §3.8). Pair
+/// Turns telemetry on for the whole benchmark run (DESIGN.md §3.8): metrics
+/// and span capture, since finish_telemetry() prints the span summary. Pair
 /// with finish_telemetry() at the end of main.
-inline void start_telemetry() { obs::set_enabled(true); }
+inline void start_telemetry() {
+  obs::set_enabled(true);
+  obs::set_spans_enabled(true);
+}
 
 /// Prints the per-phase span summary table, then honors two environment
 /// variables: SYNCON_BENCH_JSON names a file for the telemetry JSON
@@ -97,6 +101,7 @@ inline void start_telemetry() { obs::set_enabled(true); }
 /// chrome://tracing — see README "Telemetry" quickstart).
 inline void finish_telemetry(const char* run_name) {
   obs::set_enabled(false);
+  obs::set_spans_enabled(false);
   std::printf("\n=== span summary: %s ===\n", run_name);
   std::ostringstream table;
   obs::write_span_summary(table, obs::TraceRecorder::global());

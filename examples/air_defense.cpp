@@ -76,9 +76,7 @@ int run_des_mode(std::size_t radars, std::size_t batteries,
   return all_ok ? 0 : 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   CliParser cli("air_defense",
                 "verify engagement doctrine on a simulated air-defence run");
   cli.add_option("radars", "3", "number of radar processes");
@@ -200,4 +198,10 @@ int main(int argc, char** argv) {
   std::printf("\ndoctrine %s on this trace.\n",
               all_ok ? "HOLDS" : "IS VIOLATED");
   return all_ok ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("air_defense", argc, argv, example_main);
 }

@@ -19,7 +19,9 @@
 
 using namespace syncon;
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   CliParser cli("lossy_monitoring",
                 "degraded-mode monitoring behind a faulty report channel");
   cli.add_option("drop", "25", "report drop probability, percent");
@@ -103,4 +105,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.duplicated),
               static_cast<unsigned long long>(stats.reordered));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("lossy_monitoring", argc, argv, example_main);
 }

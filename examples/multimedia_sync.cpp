@@ -14,7 +14,9 @@
 
 using namespace syncon;
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   CliParser cli("multimedia_sync",
                 "check frame-group synchronization of a streaming session");
   cli.add_option("clients", "3", "number of stream clients");
@@ -86,4 +88,10 @@ int main(int argc, char** argv) {
   std::printf("\nsynchronization conditions %s.\n",
               all_ok ? "HOLD" : "VIOLATED");
   return all_ok ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("multimedia_sync", argc, argv, example_main);
 }

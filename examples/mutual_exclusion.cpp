@@ -102,9 +102,7 @@ int verify(const MutexTrace& trace, const char* title) {
   return report.ok() ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   CliParser cli("mutual_exclusion",
                 "verify critical-section exclusion on token-ring traces");
   cli.add_option("processes", "4", "number of processes in the ring");
@@ -129,4 +127,10 @@ int main(int argc, char** argv) {
   std::printf("as expected: the clean trace verifies, the rogue trace is "
               "rejected.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("mutual_exclusion", argc, argv, example_main);
 }

@@ -25,7 +25,9 @@
 
 using namespace syncon;
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   CliParser cli("online_monitoring",
                 "check pipeline synchronization conditions at runtime");
   cli.add_option("workers", "3", "stage-A worker processes");
@@ -126,4 +128,10 @@ int main(int argc, char** argv) {
       "offline tests need reverse timestamps — the future of the trace\n"
       "(DESIGN.md §8, docs/THEORY.md §8).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("online_monitoring", argc, argv, example_main);
 }

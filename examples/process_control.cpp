@@ -16,7 +16,9 @@
 
 using namespace syncon;
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   CliParser cli("process_control",
                 "audit control-loop cycle timing from a recorded trace");
   cli.add_option("sensors", "4", "number of sensor processes");
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
               compute_begin ? "exists (linear action)" : "missing",
               sample_begin ? "exists" : "missing (concurrent sensors)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("process_control", argc, argv, example_main);
 }

@@ -83,9 +83,7 @@ class Server : public DesProcess {
   }
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   CliParser cli("request_timeout_des",
                 "simulate an RPC client/server with timeout retries");
   cli.add_option("transactions", "6", "number of transactions");
@@ -169,4 +167,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(timeout));
   (void)labels;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("request_timeout_des", argc, argv, example_main);
 }

@@ -10,11 +10,15 @@
 //   # reload and query a specific pair
 //   ./trace_analysis --trace=t.trace --intervals=i.txt --x=W0 --y=W2 \
 //       --condition="R1(U,L) & !R3'"
+//
+// A bad flag value, an unreadable input file or a malformed query ends the
+// run with one "trace_analysis: <message>" line on stderr and exit status 2.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "cuts/watermark.hpp"
@@ -95,9 +99,7 @@ std::size_t diff_against_replay(const Execution& exec,
   return mismatches;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   CliParser cli("trace_analysis",
                 "query causality relations on recorded distributed traces");
   cli.add_flag("generate", "generate a synthetic trace instead of loading");
@@ -150,7 +152,10 @@ int main(int argc, char** argv) {
 
   const bool telemetry =
       !cli.get("chrome-trace").empty() || !cli.get("metrics").empty();
-  if (telemetry) obs::set_enabled(true);
+  if (telemetry) {
+    obs::set_enabled(true);
+    obs::set_spans_enabled(true);  // the span summary below reads the ring
+  }
   const bool flight_dump = !cli.get("flight").empty();
   if (flight_dump) obs::set_flight_enabled(true);
 
@@ -172,18 +177,11 @@ int main(int argc, char** argv) {
     intervals = windowed_intervals(*exec, cli.get_uint("window"));
   } else if (!cli.get("trace").empty()) {
     std::ifstream in(cli.get("trace"));
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", cli.get("trace").c_str());
-      return 1;
-    }
+    if (!in) throw std::runtime_error("cannot open " + cli.get("trace"));
     exec = std::make_shared<const Execution>(read_trace(in));
     if (!cli.get("intervals").empty()) {
       std::ifstream iv(cli.get("intervals"));
-      if (!iv) {
-        std::fprintf(stderr, "cannot open %s\n",
-                     cli.get("intervals").c_str());
-        return 1;
-      }
+      if (!iv) throw std::runtime_error("cannot open " + cli.get("intervals"));
       intervals = read_intervals(iv, *exec);
     } else {
       intervals = windowed_intervals(*exec, cli.get_uint("window"));
@@ -410,6 +408,7 @@ int main(int argc, char** argv) {
 
   if (telemetry) {
     obs::set_enabled(false);
+    obs::set_spans_enabled(false);
     std::printf("\nspan summary:\n");
     std::ostringstream spans;
     obs::write_span_summary(spans, obs::TraceRecorder::global());
@@ -438,4 +437,10 @@ int main(int argc, char** argv) {
                 records.size(), cli.get("flight").c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_tool("trace_analysis", argc, argv, example_main);
 }

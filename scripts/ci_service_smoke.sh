@@ -10,6 +10,10 @@
 #                  daemon must shed load through backpressure rejects and
 #                  still converge to bit-identical verdicts.
 #
+# In both runs the ingest-latency histogram must hold exactly one sample per
+# applied op frame (every applied frame but the tenants' hellos): no sample
+# lost, none counted twice, retries and backpressure included.
+#
 # The clean run's stats (p99 ingest latency, peak RSS, reclaimed events)
 # are merged into the benchmark trajectory file under runs.service
 # (creating a minimal file if scripts/ci_bench_smoke.sh has not run yet).
@@ -74,6 +78,16 @@ if overload["identity_mismatches"] != 0:
     failures.append("overload run: backpressure corrupted tenant verdicts")
 if overload["backpressure_rejects"] <= 0:
     failures.append("overload run: tiny queues never rejected a submit")
+if overload["frames_quarantined"] != 0:
+    failures.append("overload run: frames quarantined on an uncorrupted wire")
+for name, run in (("clean", clean), ("overload", overload)):
+    # With nothing quarantined every tenant's hello applied exactly once;
+    # each other applied frame carries one ingest-latency sample.
+    op_frames = run["frames_applied"] - run["tenants"]
+    if run["ingest_samples"] != op_frames:
+        failures.append(
+            f"{name} run: {run['ingest_samples']} ingest-latency samples for "
+            f"{op_frames} applied op frames")
 if failures:
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
@@ -85,7 +99,8 @@ print(f"  events / frames      : {clean['total_events']} / {clean['total_frames'
 print(f"  verdicts             : {clean['verdicts']} (all bit-identical)")
 print(f"  live-log peak        : {clean['live_log_peak']}")
 print(f"  reclaimed events     : {clean['reclaimed_events']}")
-print(f"  p99 ingest latency   : {clean['p99_ingest_us']:.1f} us")
+print(f"  p99 ingest latency   : {clean['p99_ingest_us']:.1f} us "
+      f"({clean['ingest_samples']} samples, one per applied op frame)")
 print(f"  peak RSS             : {clean['peak_rss_kib']} KiB")
 print(f"  overload rejects     : {overload['backpressure_rejects']} (identity held)")
 

@@ -1,6 +1,7 @@
 #include "obs/latency.hpp"
 
 #include <array>
+#include <atomic>
 #include <ostream>
 
 #include "obs/metrics.hpp"
@@ -11,8 +12,14 @@ namespace syncon::obs {
 
 namespace {
 
-constexpr std::array<const char*, 5> kDetectStages = {
-    "observe", "track", "gap_wait", "evaluate", "fire"};
+constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(Stage::kDelivered) + 1;
+// Indexed by Stage; metric names are syncon_detect_latency_<name>_us.
+constexpr std::array<const char*, kStageCount> kStageNames = {
+    "observe",  "track",       "gap_wait",   "evaluate",
+    "fire",     "resync_wait", "wal_replay", "delivered"};
+// observe … fire: the stages a per-verdict waterfall is made of.
+constexpr std::size_t kDetectStageCount = 5;
 
 }  // namespace
 
@@ -25,14 +32,26 @@ bool Waterfall::monotone() const {
   return true;
 }
 
-std::span<const char* const> detect_stages() { return kDetectStages; }
+std::span<const char* const> detect_stages() {
+  return std::span<const char* const>(kStageNames).first(kDetectStageCount);
+}
 
-void record_stage_latency(std::string_view stage, std::uint64_t us) {
+void record_stage_latency(Stage stage, std::uint64_t us) {
   if (!enabled()) return;
-  Histogram& h = MetricRegistry::global().histogram(
-      "syncon_detect_latency_" + std::string(stage) + "_us",
-      HistogramSpec::exponential(1.0, 1048576.0));
-  h.record(static_cast<double>(us));
+  // Resolved on a stage's first sample and cached: a stage that never
+  // records never registers. Racing first samples resolve to the same
+  // registry entry, so the unsynchronized fill is benign.
+  static std::array<std::atomic<Histogram*>, kStageCount> table{};
+  const auto index = static_cast<std::size_t>(stage);
+  std::atomic<Histogram*>& slot = table[index];
+  Histogram* h = slot.load(std::memory_order_acquire);
+  if (h == nullptr) {
+    h = &MetricRegistry::global().histogram(
+        std::string("syncon_detect_latency_") + kStageNames[index] + "_us",
+        HistogramSpec::exponential(1.0, 1048576.0));
+    slot.store(h, std::memory_order_release);
+  }
+  h->record(static_cast<double>(us));
 }
 
 void write_waterfalls(std::ostream& os, std::span<const Waterfall> falls) {

@@ -22,7 +22,6 @@
 #include <iosfwd>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace syncon::obs {
@@ -55,12 +54,29 @@ struct Waterfall {
   bool monotone() const;
 };
 
-/// The in-waterfall stage taxonomy, pipeline order.
+/// Every stage that publishes into the syncon_detect_latency_{stage}_us
+/// histogram family: the in-waterfall stages in pipeline order, then the
+/// three recorded outside the per-verdict waterfall.
+enum class Stage : std::uint8_t {
+  kObserve,
+  kTrack,
+  kGapWait,
+  kEvaluate,
+  kFire,
+  kResyncWait,
+  kWalReplay,
+  kDelivered,
+};
+
+/// The in-waterfall stage taxonomy (observe … fire), pipeline order; entry
+/// i names Stage(i).
 std::span<const char* const> detect_stages();
 
 /// Records one stage duration into syncon_detect_latency_{stage}_us
 /// (exponential µs buckets) when telemetry is enabled; no-op otherwise.
-void record_stage_latency(std::string_view stage, std::uint64_t us);
+/// Each stage's histogram is looked up once per process, so a sample
+/// allocates nothing and takes no lock.
+void record_stage_latency(Stage stage, std::uint64_t us);
 
 /// Renders waterfalls as an aligned text table (one row per stage).
 void write_waterfalls(std::ostream& os, std::span<const Waterfall> falls);

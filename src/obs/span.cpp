@@ -10,10 +10,15 @@ namespace syncon::obs {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
+std::atomic<bool> g_spans_enabled{false};
 }  // namespace detail
 
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
+}
+
+void set_spans_enabled(bool on) {
+  detail::g_spans_enabled.store(on, std::memory_order_relaxed);
 }
 
 std::uint64_t now_us() {

@@ -3,11 +3,13 @@
 // recorder is exported as Chrome trace-event JSON (obs/export.hpp), which
 // Perfetto and chrome://tracing load directly.
 //
-// Cost model: with telemetry disabled (the default) a SpanGuard is two
-// relaxed loads and a branch — no clock read, no allocation, no lock. With
-// it enabled, each completed span takes two steady_clock reads and one
-// short mutex-guarded ring-buffer push; the ring never grows after
-// set_capacity, so long runs stay bounded (oldest spans are overwritten).
+// Cost model: span capture has its own switch, obs::spans_enabled(), off by
+// default and independent of obs::enabled() — metrics can be on while no
+// span is taken. Off, a SpanGuard is two relaxed loads and a branch — no
+// clock read, no allocation, no lock. On, each completed span takes two
+// steady_clock reads and one short mutex-guarded ring-buffer push; the ring
+// never grows after set_capacity, so long runs stay bounded (oldest spans
+// are overwritten). Only code that reads the ring turns capture on.
 //
 // Span names are path-like, coarse phase labels (the taxonomy lives in
 // DESIGN.md §3.8): "model/stamp", "relation/register", "relation/evaluate",
@@ -16,6 +18,7 @@
 // pointer, not a copy).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -24,6 +27,21 @@
 #include "obs/telemetry.hpp"
 
 namespace syncon::obs {
+
+namespace detail {
+extern std::atomic<bool> g_spans_enabled;
+}  // namespace detail
+
+/// True iff SYNCON_SPAN records into TraceRecorder::global(). Off by
+/// default; independent of obs::enabled(), so a metrics-only run (the
+/// daemon, the scrape server) does not fill a ring nobody reads.
+inline bool spans_enabled() {
+  return detail::g_spans_enabled.load(std::memory_order_relaxed);
+}
+
+/// Flips span capture globally. Thread-safe; spans already open keep the
+/// state they started with.
+void set_spans_enabled(bool on);
 
 /// One completed span. `name` must point at a string literal.
 struct SpanEvent {
@@ -89,12 +107,12 @@ struct SpanStats {
 /// Aggregates the retained spans by name, name-sorted.
 std::vector<SpanStats> aggregate_spans(const TraceRecorder& recorder);
 
-/// RAII span: records into TraceRecorder::global() iff telemetry was
+/// RAII span: records into TraceRecorder::global() iff span capture was
 /// enabled at construction.
 class SpanGuard {
  public:
   explicit SpanGuard(const char* name) {
-    if (enabled()) {
+    if (spans_enabled()) {
       name_ = name;
       start_ = now_us();
     }

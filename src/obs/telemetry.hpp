@@ -1,8 +1,9 @@
 // Global telemetry switch (DESIGN.md §3.8). Instrumentation sites across
-// the library guard every metric/span recording on obs::enabled(), which is
-// a single relaxed atomic load — with telemetry off (the default) the hot
+// the library guard every metric recording on obs::enabled(), which is a
+// single relaxed atomic load — with telemetry off (the default) the hot
 // paths pay one predictable branch and nothing else: no clock reads, no
-// registry lookups, no allocations.
+// registry lookups, no allocations. Spans and the flight ring have their
+// own switches (obs::spans_enabled(), obs::flight_enabled()).
 #pragma once
 
 #include <atomic>
@@ -18,8 +19,7 @@ inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Flips telemetry recording globally. Thread-safe; spans already open keep
-/// the state they started with.
+/// Flips metric recording globally. Thread-safe.
 void set_enabled(bool on);
 
 }  // namespace syncon::obs

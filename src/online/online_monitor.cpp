@@ -315,7 +315,7 @@ void OnlineMonitor::note_gap_state() {
     // The wall-clock dwell behind PendingGap verdicts — the resync leg of
     // the detection-latency taxonomy (outside the per-verdict waterfall,
     // since one gap episode can taint many verdicts).
-    obs::record_stage_latency("resync_wait", open_us);
+    obs::record_stage_latency(obs::Stage::kResyncWait, open_us);
     obs::flight(obs::FlightKind::kGapClose, obs::FlightRecord::kNoProcess,
                 reports_seen_ - gap_opened_at_report_, open_us);
   }
@@ -480,7 +480,7 @@ void OnlineMonitor::emit_waterfall(const std::string& x, const std::string& y,
     const std::uint64_t end = std::max(cursor, bounds[s + 1]);
     w.stages.push_back(
         obs::StageSpan{std::string(stages[s]), cursor, end - cursor});
-    obs::record_stage_latency(stages[s], end - cursor);
+    obs::record_stage_latency(static_cast<obs::Stage>(s), end - cursor);
     cursor = end;
   }
   obs::flight(obs::FlightKind::kVerdict, obs::FlightRecord::kNoProcess,

@@ -40,7 +40,7 @@ void record_delivery_latency(std::int64_t sent_at, std::int64_t when) {
   latency.record(static_cast<double>(when - sent_at));
   // Same measurement, filed under the detection-latency stage taxonomy
   // (the occurred → delivered leg; application-time domain).
-  obs::record_stage_latency("delivered",
+  obs::record_stage_latency(obs::Stage::kDelivered,
                             static_cast<std::uint64_t>(when - sent_at));
 }
 
@@ -495,8 +495,15 @@ std::size_t OnlineSystem::compact(const VectorClock& watermark) {
     const std::size_t live_now = live_log_events();
     live.set(static_cast<std::int64_t>(live_now));
     peak.set_max(static_cast<std::int64_t>(live_now));
-    lag.set(static_cast<std::int64_t>(
-        watermark_lag(checkpoint_.cut, snapshot())));
+    // watermark_lag(cut, snapshot()) without materializing the snapshot:
+    // snapshot()'s component q is base_[q] + log_[q].size() + 1.
+    ClockValue lag_now = 0;
+    for (ProcessId q = 0; q < process_count(); ++q) {
+      const auto frontier =
+          static_cast<ClockValue>(base_[q] + log_[q].size() + 1);
+      lag_now = std::max(lag_now, frontier - checkpoint_.cut.at(q));
+    }
+    lag.set(static_cast<std::int64_t>(lag_now));
   }
   obs::flight(obs::FlightKind::kCompact, obs::FlightRecord::kNoProcess,
               reclaimed, live_log_events());

@@ -11,17 +11,39 @@ namespace syncon::service {
 
 namespace {
 
-/// Submit-to-applied latency of one frame, recorded on the applying
-/// shard's thread. Only called with telemetry on.
-void record_ingest_latency(std::uint64_t latency_us) {
-  auto& registry = obs::MetricRegistry::global();
-  static obs::Histogram& latency = registry.histogram(
-      "syncon_service_ingest_latency_us",
-      obs::HistogramSpec::exponential(1.0, 1048576.0));
-  latency.record(static_cast<double>(latency_us), obs::current_thread_slot());
+/// Records the submit → end-of-batch latency of the op frames one shard
+/// applied in a pump against one clock read, on the applying shard's
+/// thread, and empties the list. A frame's verdicts are readable only after
+/// the pump barrier, so its latency ends where its batch ends.
+void record_ingest_latencies(std::vector<std::uint64_t>& enqueued_us) {
+  if (enqueued_us.empty()) return;
+  if (obs::enabled()) {
+    static obs::Histogram& latency = obs::MetricRegistry::global().histogram(
+        "syncon_service_ingest_latency_us",
+        obs::HistogramSpec::exponential(1.0, 1048576.0));
+    const std::uint64_t now = obs::now_us();
+    const std::size_t slot = obs::current_thread_slot();
+    for (const std::uint64_t t : enqueued_us) {
+      latency.record(static_cast<double>(now - t), slot);
+    }
+  }
+  enqueued_us.clear();
 }
 
 }  // namespace
+
+FrameView MonitorDaemon::QueuedFrame::view() const {
+  static_assert(sizeof(QueuedFrame) <= 64,
+                "a queued frame stays one cache line");
+  FrameView view;
+  view.kind = kind;
+  view.tenant = tenant;
+  view.seq = seq;
+  view.body = std::span<const std::uint8_t>(bytes).subspan(body_offset,
+                                                          body_size);
+  view.frame_size = bytes.size();
+  return view;
+}
 
 MonitorDaemon::MonitorDaemon(const DaemonOptions& options, ThreadPool& pool)
     : options_(options), pool_(pool) {
@@ -58,7 +80,14 @@ Admission MonitorDaemon::submit(std::span<const std::uint8_t> frame) {
     }
     QueuedFrame queued;
     queued.bytes.assign(frame.begin(), frame.end());
-    if (obs::enabled()) queued.enqueued_us = obs::now_us();
+    queued.tenant = view.tenant;
+    queued.seq = view.seq;
+    queued.timed = obs::enabled();
+    if (queued.timed) queued.enqueued_us = obs::now_us();
+    queued.body_offset = static_cast<std::uint32_t>(view.body.data() -
+                                                    frame.data());
+    queued.body_size = static_cast<std::uint32_t>(view.body.size());
+    queued.kind = view.kind;
     shard.queue.push_back(std::move(queued));
   }
   if (options_.journal != nullptr) {
@@ -69,38 +98,32 @@ Admission MonitorDaemon::submit(std::span<const std::uint8_t> frame) {
   return {true, 0};
 }
 
-void MonitorDaemon::apply_frame(Shard& shard, const QueuedFrame& frame) {
-  FrameView view;
-  if (peek_frame(frame.bytes, view) != PeekStatus::kOk) {
-    ++shard.quarantined;  // journal tail torn under us — skip, don't die
-    return;
-  }
-
-  if (view.kind == FrameKind::kHello) {
-    if (shard.sessions.count(view.tenant) != 0) {
+bool MonitorDaemon::apply_frame(Shard& shard, const FrameView& frame) {
+  if (frame.kind == FrameKind::kHello) {
+    if (shard.sessions.count(frame.tenant) != 0) {
       ++shard.quarantined;  // a second hello for a live tenant
-      return;
+      return false;
     }
     std::size_t processes = 0, resync_chunk = 0;
-    if (!decode_hello(view, processes, resync_chunk)) {
+    if (!decode_hello(frame, processes, resync_chunk)) {
       ++shard.quarantined;
-      return;
+      return false;
     }
-    shard.sessions.emplace(view.tenant,
+    shard.sessions.emplace(frame.tenant,
                            std::make_unique<TenantSession>(
-                               processes, resync_chunk, view.seq));
+                               processes, resync_chunk, frame.seq));
     ++shard.frames_applied;
-    return;
+    return false;
   }
 
-  const auto it = shard.sessions.find(view.tenant);
+  const auto it = shard.sessions.find(frame.tenant);
   if (it == shard.sessions.end()) {
     ++shard.quarantined;  // frames before (or with a corrupted) hello
-    return;
+    return false;
   }
   TenantSession& session = *it->second;
   TenantOp op;
-  bool applied = session.decoder.decode(view, op);
+  bool applied = session.decoder.decode(frame, op);
   if (applied) {
     // The core quarantines an op it rejects instead of throwing; the frame
     // that carried it counts as quarantined, not applied.
@@ -111,12 +134,10 @@ void MonitorDaemon::apply_frame(Shard& shard, const QueuedFrame& frame) {
   if (!applied) {
     ++session.quarantined_frames;
     ++shard.quarantined;
-    return;
+    return false;
   }
   ++shard.frames_applied;
-  if (frame.enqueued_us != 0 && obs::enabled()) {
-    record_ingest_latency(obs::now_us() - frame.enqueued_us);
-  }
+  return true;
 }
 
 void MonitorDaemon::pump() {
@@ -125,12 +146,17 @@ void MonitorDaemon::pump() {
       [this](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) {
           Shard& shard = *shards_[s];
-          std::vector<QueuedFrame> batch;
           {
             std::lock_guard<std::mutex> lock(shard.mutex);
-            batch.swap(shard.queue);
+            shard.batch.swap(shard.queue);
           }
-          for (const QueuedFrame& frame : batch) apply_frame(shard, frame);
+          for (const QueuedFrame& frame : shard.batch) {
+            if (apply_frame(shard, frame.view()) && frame.timed) {
+              shard.applied_enqueued_us.push_back(frame.enqueued_us);
+            }
+          }
+          shard.batch.clear();
+          record_ingest_latencies(shard.applied_enqueued_us);
         }
       },
       shards_.size());
@@ -189,11 +215,9 @@ void MonitorDaemon::recover() {
         ++corrupt_submits_;  // torn tail: replay stops at the last clean frame
         break;
       }
-      Shard& shard = *shards_[view.tenant % shards_.size()];
-      QueuedFrame frame;
-      const std::span<const std::uint8_t> whole = in.first(view.frame_size);
-      frame.bytes.assign(whole.begin(), whole.end());
-      apply_frame(shard, frame);
+      // Applied straight from the journal bytes: the scan above is the
+      // frame's one envelope check.
+      apply_frame(*shards_[view.tenant % shards_.size()], view);
       in = in.subspan(view.frame_size);
     }
   }

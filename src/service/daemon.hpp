@@ -3,12 +3,13 @@
 // OnlineMonitor (TenantSessionCore) — hosted behind the tenant wire codec.
 //
 // Concurrency model: submit() runs on the owner thread and only routes —
-// envelope validation, a bounded per-shard queue, optional journaling.
-// pump() is a barrier: ThreadPool::parallel_for applies every queued frame,
-// shard s owning exactly the tenants with tenant_id % shards == s, so one
-// tenant's frames are always applied in order on one thread (delivery
-// determinism survives the fan-out). Between pumps the sessions are
-// quiescent and the owner may read stats, compact, or publish metrics.
+// envelope validation (the only CRC scan a frame gets), a bounded per-shard
+// queue, optional journaling. pump() is a barrier: ThreadPool::parallel_for
+// applies every queued frame, shard s owning exactly the tenants with
+// tenant_id % shards == s, so one tenant's frames are always applied in
+// order on one thread (delivery determinism survives the fan-out). Between
+// pumps the sessions are quiescent and the owner may read stats, compact,
+// or publish metrics.
 //
 // Backpressure: a full shard queue rejects the submit (Admission::accepted
 // = false, retry after the next pump) instead of buffering unboundedly —
@@ -115,9 +116,20 @@ class MonitorDaemon {
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
+  /// An admitted frame: a copy of its bytes plus the header submit()
+  /// already parsed from the CRC-checked envelope, so the pump never scans
+  /// the envelope again.
   struct QueuedFrame {
     std::vector<std::uint8_t> bytes;
-    std::uint64_t enqueued_us = 0;  // 0 = latency tracking off
+    std::uint64_t tenant = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t enqueued_us = 0;
+    std::uint32_t body_offset = 0;  // frames are < kMaxFramePayload + 16
+    std::uint32_t body_size = 0;
+    FrameKind kind = FrameKind::kHello;
+    bool timed = false;  // enqueued_us was read (telemetry on at submit)
+
+    FrameView view() const;
   };
 
   struct TenantSession {
@@ -132,6 +144,13 @@ class MonitorDaemon {
   struct Shard {
     std::mutex mutex;
     std::vector<QueuedFrame> queue;  // guarded by mutex
+    // The frames one pump applies: swapped with `queue` under the mutex, so
+    // both buffers keep their capacity from pump to pump.
+    std::vector<QueuedFrame> batch;
+    // Enqueue times of the op frames applied in the current pump, recorded
+    // against one clock read when the shard's batch ends. Reused across
+    // pumps; owned by the shard's worker like the sessions.
+    std::vector<std::uint64_t> applied_enqueued_us;
     // Owned by this shard's worker during pump(), by the owner between
     // pumps (the parallel_for barrier is the handoff). std::map: stats and
     // budget scans see tenants in deterministic order.
@@ -140,7 +159,9 @@ class MonitorDaemon {
     std::uint64_t quarantined = 0;
   };
 
-  void apply_frame(Shard& shard, const QueuedFrame& frame);
+  /// Applies one envelope-validated frame; true iff it was an op frame its
+  /// session applied (the frames whose ingest latency is recorded).
+  bool apply_frame(Shard& shard, const FrameView& frame);
   void enforce_memory_budget();
   const TenantSession* find_session(std::uint64_t tenant) const;
   static std::string journal_object(std::uint64_t tenant);

@@ -46,7 +46,8 @@ class RecoveryTimer {
       // Attribute the replay time as a detection-latency stage (verdicts
       // that waited on this recovery paid it), note the recovery in the
       // flight ring, and flush the ring so the incident is on disk.
-      obs::record_stage_latency("wal_replay", stats_.recovery_micros);
+      obs::record_stage_latency(obs::Stage::kWalReplay,
+                                stats_.recovery_micros);
       obs::flight(obs::FlightKind::kRecovery, obs::FlightRecord::kNoProcess,
                   stats_.events_replayed, stats_.recovery_micros);
       obs::flight_auto_dump("recovery");

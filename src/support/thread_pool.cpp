@@ -1,9 +1,12 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <array>
 #include <exception>
 #include <memory>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -107,21 +110,31 @@ void ThreadPool::parallel_for(
 
   // Per-call join state; shared_ptr so stray workers finishing after an
   // exception rethrow can never touch a dead frame.
+  constexpr std::size_t kInlineShards = 64;
   struct Join {
     std::mutex mutex;
     std::condition_variable done;
     std::size_t remaining;
     std::exception_ptr error;
+    // Shard timings (telemetry on): inline up to kInlineShards, so timing
+    // adds no allocation to the join's own.
+    std::array<std::uint64_t, kInlineShards> inline_durations{};
+    std::vector<std::uint64_t> spilled_durations;
   };
   auto join = std::make_shared<Join>();
   join->remaining = shards - 1;
 
   // With telemetry on, time each shard so the join can report imbalance.
   // Distinct indices: no synchronization needed beyond the join itself.
-  auto durations =
-      obs::enabled()
-          ? std::make_shared<std::vector<std::uint64_t>>(shards, 0)
-          : nullptr;
+  std::uint64_t* durations = nullptr;
+  if (obs::enabled()) {
+    if (shards <= kInlineShards) {
+      durations = join->inline_durations.data();
+    } else {
+      join->spilled_durations.assign(shards, 0);
+      durations = join->spilled_durations.data();
+    }
+  }
 
   auto run_shard = [count, shards, &body, durations](std::size_t shard) {
     const std::size_t begin = shard * count / shards;
@@ -129,7 +142,7 @@ void ThreadPool::parallel_for(
     if (durations != nullptr) {
       const std::uint64_t t0 = obs::now_us();
       body(shard, begin, end);
-      (*durations)[shard] = obs::now_us() - t0;
+      durations[shard] = obs::now_us() - t0;
     } else {
       body(shard, begin, end);
     }
@@ -173,9 +186,9 @@ void ThreadPool::parallel_for(
         "syncon_pool_shard_imbalance_us",
         obs::HistogramSpec::exponential(1.0, 65536.0));
     calls.add(1);
-    const auto [lo, hi] =
-        std::minmax_element(durations->begin(), durations->end());
-    for (const std::uint64_t d : *durations) {
+    const std::span<const std::uint64_t> timed(durations, shards);
+    const auto [lo, hi] = std::minmax_element(timed.begin(), timed.end());
+    for (const std::uint64_t d : timed) {
       shard_us.record(static_cast<double>(d));
     }
     imbalance.record(static_cast<double>(*hi - *lo));

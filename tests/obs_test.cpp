@@ -28,16 +28,20 @@
 #include "online/online_monitor.hpp"
 #include "online/online_system.hpp"
 #include "relations/evaluator.hpp"
+#include "service/daemon.hpp"
+#include "service/tenant_codec.hpp"
 #include "sim/des.hpp"
 #include "sim/faulty_channel.hpp"
+#include "sim/soak.hpp"
 #include "support/contracts.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-// Counting allocator hooks for the disabled-mode zero-allocation test. The
-// whole binary runs through these; individual tests look at deltas.
+// Counting allocator hooks for the zero-allocation tests. The whole binary
+// runs through these; individual tests look at deltas.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
@@ -151,11 +155,13 @@ class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(false);
+    obs::set_spans_enabled(false);
     obs::MetricRegistry::global().reset();
     obs::TraceRecorder::global().clear();
   }
   void TearDown() override {
     obs::set_enabled(false);
+    obs::set_spans_enabled(false);
     obs::MetricRegistry::global().reset();
     obs::TraceRecorder::global().clear();
   }
@@ -350,9 +356,15 @@ TEST_F(ObsTest, TraceRecorderRingKeepsNewestEvents) {
 TEST_F(ObsTest, SpanGuardRecordsOnlyWhenEnabled) {
   { SYNCON_SPAN("test/disabled"); }
   EXPECT_EQ(obs::TraceRecorder::global().recorded_total(), 0u);
+  // Metrics on is not span capture on: spans have their own switch.
   obs::set_enabled(true);
-  { SYNCON_SPAN("test/enabled"); }
+  { SYNCON_SPAN("test/metrics_only"); }
+  EXPECT_EQ(obs::TraceRecorder::global().recorded_total(), 0u);
   obs::set_enabled(false);
+  EXPECT_FALSE(obs::spans_enabled());
+  obs::set_spans_enabled(true);
+  { SYNCON_SPAN("test/enabled"); }
+  obs::set_spans_enabled(false);
   const auto events = obs::TraceRecorder::global().events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "test/enabled");
@@ -527,6 +539,7 @@ class PipelinePonger : public DesProcess {
 
 TEST_F(ObsTest, PipelineTraceCoversAllPhases) {
   obs::set_enabled(true);
+  obs::set_spans_enabled(true);
 
   // 1. Simulate (des/run).
   std::vector<std::unique_ptr<DesProcess>> procs;
@@ -559,6 +572,7 @@ TEST_F(ObsTest, PipelineTraceCoversAllPhases) {
   monitor.ingest("a", replies[0]);  // gap closes
   EXPECT_TRUE(monitor.missing_reports().empty());
   obs::set_enabled(false);
+  obs::set_spans_enabled(false);
 
   std::ostringstream oss;
   obs::write_chrome_trace(oss, obs::TraceRecorder::global());
@@ -664,13 +678,102 @@ TEST_F(ObsTest, WaterfallMonotoneStagesSumToTotal) {
 
 TEST_F(ObsTest, RecordStageLatencyFeedsHistogramFamily) {
   obs::set_enabled(true);
-  obs::record_stage_latency("evaluate", 42);
-  obs::record_stage_latency("resync_wait", 7);
+  obs::record_stage_latency(obs::Stage::kEvaluate, 42);
+  obs::record_stage_latency(obs::Stage::kResyncWait, 7);
   const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();
   const auto* evaluate = snap.find("syncon_detect_latency_evaluate_us");
   ASSERT_NE(evaluate, nullptr);
   EXPECT_EQ(evaluate->histogram->count, 1u);
   ASSERT_NE(snap.find("syncon_detect_latency_resync_wait_us"), nullptr);
+}
+
+// --- daemon frame path: telemetry allocates nothing extra --------------------
+
+// Every frame of one tenant whose report feed drops, duplicates and
+// reorders — gaps open and resync closes them — hello first.
+std::vector<std::vector<std::uint8_t>> faulty_tenant_frames(
+    std::uint64_t tenant) {
+  TenantWorkload workload;
+  workload.report_link.drop_probability = 0.15;
+  workload.report_link.duplicate_probability = 0.1;
+  workload.report_link.reorder_probability = 0.2;
+  workload.report_link.min_delay = 1;
+  workload.report_link.max_delay = 24;
+  workload.seed = 5;
+  const TenantScript script = generate_tenant_script(workload);
+  service::TenantFrameEncoder encoder;
+  std::vector<std::vector<std::uint8_t>> frames(1);
+  encoder.encode_hello(tenant, script.processes, script.resync_chunk,
+                       frames[0]);
+  for (const TenantOp& op : script.ops) {
+    frames.emplace_back();
+    encoder.encode_op(tenant, op, frames.back());
+  }
+  return frames;
+}
+
+// Allocations made by submit() and pump() while the daemon takes one
+// tenant's frames, pumping after every 8 submits; the finished tenant is
+// released afterwards, so every pass starts from the same daemon state.
+std::uint64_t tenant_pass_allocations(
+    service::MonitorDaemon& daemon, std::uint64_t tenant,
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  const service::DaemonStats before = daemon.stats();
+  const std::uint64_t allocs0 = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_TRUE(daemon.submit(frames[i]).accepted);
+    if (i % 8 == 7) daemon.pump();
+  }
+  daemon.pump();
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocs0;
+  const service::DaemonStats after = daemon.stats();
+  EXPECT_EQ(after.frames_applied - before.frames_applied, frames.size());
+  EXPECT_GT(after.compactions, before.compactions);
+  daemon.release(tenant);
+  return allocations;
+}
+
+std::uint64_t histogram_count(const char* name) {
+  const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();
+  const auto* entry = snap.find(name);
+  return entry == nullptr || !entry->histogram ? 0 : entry->histogram->count;
+}
+
+TEST_F(ObsTest, DaemonFramePathAllocatesNoMoreWithTelemetryOn) {
+  // Three tenants running the same script: their frames differ only in the
+  // tenant id, so each pass does the same work.
+  const auto warmup_frames = faulty_tenant_frames(1);
+  const auto off_frames = faulty_tenant_frames(2);
+  const auto on_frames = faulty_tenant_frames(3);
+  ThreadPool pool(1);
+  service::DaemonOptions options;
+  options.shards = 1;
+  options.memory_budget_events = 16;  // binding: the pumps compact
+  service::MonitorDaemon daemon(options, pool);
+
+  // Warm-up: registers every instrument the path records into and grows
+  // the daemon's reusable buffers.
+  obs::set_enabled(true);
+  (void)tenant_pass_allocations(daemon, 1, warmup_frames);
+  obs::set_enabled(false);
+  const std::uint64_t off = tenant_pass_allocations(daemon, 2, off_frames);
+
+  obs::set_enabled(true);
+  const std::uint64_t gaps0 =
+      histogram_count("syncon_detect_latency_resync_wait_us");
+  const std::uint64_t ingest0 =
+      histogram_count("syncon_service_ingest_latency_us");
+  const std::uint64_t on = tenant_pass_allocations(daemon, 3, on_frames);
+  obs::set_enabled(false);
+
+  EXPECT_EQ(on, off);
+  // The telemetry-on pass really recorded: a gap closed, and every applied
+  // op frame (all but the hello) carries one ingest-latency sample.
+  EXPECT_GT(histogram_count("syncon_detect_latency_resync_wait_us"), gaps0);
+  EXPECT_EQ(histogram_count("syncon_service_ingest_latency_us") - ingest0,
+            on_frames.size() - 1);
+  pool.drain();
 }
 
 // --- scrape endpoint ---------------------------------------------------------

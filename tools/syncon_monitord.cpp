@@ -68,8 +68,8 @@ int tool_main(int argc, char** argv) {
   cli.add_option("serve-every", "16",
                  "drain pending scrapes + publish gauges every N rounds");
   cli.add_option("stats-json", "",
-                 "write run statistics (identity, p99 ingest latency, peak "
-                 "RSS, reclaimed events) as JSON here");
+                 "write run statistics (identity, p99 ingest latency and its "
+                 "sample count, peak RSS, reclaimed events) as JSON here");
   cli.add_flag("keep-sessions",
                "retain finished sessions instead of releasing them (bounds "
                "checking only; large runs will hold every live log)");
@@ -141,10 +141,12 @@ int tool_main(int argc, char** argv) {
       .set(rss_kib);
 
   double p99_ingest_us = 0.0;
+  std::uint64_t ingest_samples = 0;  // one per applied op (non-hello) frame
   const auto snapshot = obs::MetricRegistry::global().snapshot();
   if (const auto* entry = snapshot.find("syncon_service_ingest_latency_us");
       entry != nullptr && entry->histogram && entry->histogram->count > 0) {
     p99_ingest_us = entry->histogram->quantile(0.99);
+    ingest_samples = entry->histogram->count;
   }
 
   std::printf(
@@ -188,6 +190,7 @@ int tool_main(int argc, char** argv) {
         << ",\n"
         << "  \"compactions\": " << result.daemon.compactions << ",\n"
         << "  \"p99_ingest_us\": " << p99_ingest_us << ",\n"
+        << "  \"ingest_samples\": " << ingest_samples << ",\n"
         << "  \"peak_rss_kib\": " << rss_kib << "\n"
         << "}\n";
     std::printf("wrote stats JSON to %s\n", cli.get("stats-json").c_str());
