@@ -5,7 +5,9 @@
 //
 //   fast_vs_naive       Theorem 20 conditions vs the |N_X|·|N_Y| proxy
 //                       quantification (and, on small universes, the BFS
-//                       closure oracle) for all 32 relations + cost bounds.
+//                       closure oracle) for all 32 relations + cost bounds,
+//                       both per relation and bit by bit through the fused
+//                       all_holding kernel.
 //   strict_vs_naive     the strict (≺) dispatch vs naive strict semantics.
 //   timestamp_ll_forms  Theorem 19's cut-timestamp ≪ test vs the four
 //                       definitional forms of Defn 7.1–7.4, plus the sound

@@ -6,97 +6,44 @@
 
 namespace syncon {
 
-namespace {
-
-// ¬≪(down, up) probed at the X side (nodes of N_X): for each i ∈ N_X the
-// up-cut surface is compared against the down-cut at one integer comparison.
-bool violated_at(const VectorClock& down, const VectorClock& up,
-                 std::span<const ProcessId> nodes, QueryCost& counter) {
-  return theorem19_violated(down, up, nodes, counter);
-}
-
-// Per-node conjunctive tests (R1/R2 via X's nodes): for every i ∈ N_X the
-// single-event cut x↑ of the per-node greatest x has surface index(x) at i,
-// so ¬≪(down, x↑) probed at {i} is one comparison: down[i] >= index(x)+1.
-bool all_x_tests_pass(const VectorClock& down, const NonatomicEvent& x,
-                      QueryCost& counter) {
-  for (const ProcessId i : x.node_set()) {
-    ++counter.integer_comparisons;
-    if (down.at(i) < x.greatest_on(i).index + 1) return false;
-  }
-  return true;
-}
-
-// Dual per-node tests (R1'/R3' via Y's nodes): ↓y of the per-node least y
-// has surface index(y) at j, so ¬≪(↓y, up) probed at {j} is one comparison:
-// index(y)+1 >= up[j].
-bool all_y_tests_pass(const VectorClock& up, const NonatomicEvent& y,
-                      QueryCost& counter) {
-  for (const ProcessId j : y.node_set()) {
-    ++counter.integer_comparisons;
-    if (y.least_on(j).index + 1 < up.at(j)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-FastDebugHooks& fast_debug_hooks() {
-  static FastDebugHooks hooks;
-  return hooks;
-}
-
 bool evaluate_fast(Relation r, const EventCuts& x, const EventCuts& y,
                    QueryCost& counter) {
   SYNCON_REQUIRE(&x.timestamps() == &y.timestamps(),
                  "cut timestamps of different executions");
-  const NonatomicEvent& ex = x.event();
-  const NonatomicEvent& ey = y.event();
-  const bool x_side_smaller = ex.node_count() <= ey.node_count();
+  return evaluate_fast(r, x.view(), y.view(), counter);
+}
 
-  switch (r) {
-    case Relation::R1:
-    case Relation::R1p:
-      // ∀x: ¬≪(∩⇓Y, x↑), or equivalently ∀y: ¬≪(↓y, ∪⇑X); pick the
-      // cheaper route — min(|N_X|, |N_Y|) comparisons.
-      if (x_side_smaller) {
-        return all_x_tests_pass(y.intersect_past(), ex, counter);
+RelationSet evaluate_all_fast(const std::array<CutView, 2>& x,
+                              const std::array<CutView, 2>& y,
+                              QueryCost& counter) {
+  // Relation r under proxy combination c = 2·proxy_x + proxy_y sits at bit
+  // 4·r + c (relation_index): each answer sets its relation's bit for
+  // combination 0, and the combination's mask is shifted into place.
+  constexpr auto bit = [](Relation r) {
+    return std::uint32_t{1} << (4 * static_cast<unsigned>(r));
+  };
+  QueryCost local;
+  std::uint32_t bits = 0;
+  for (unsigned px = 0; px < 2; ++px) {
+    for (unsigned py = 0; py < 2; ++py) {
+      const CutView& vx = x[px];
+      const CutView& vy = y[py];
+      std::uint32_t mask = 0;
+      if (r1_holds(vx, vy, local)) {
+        mask |= bit(Relation::R1) | bit(Relation::R1p);
       }
-      return all_y_tests_pass(x.union_future(), ey, counter);
-
-    case Relation::R2:
-      // ∀x: ¬≪(∪⇓Y, x↑) — |N_X| comparisons. The debug hook swaps in the
-      // wrong down-cut (∩⇓Y — R1's condition) for the conformance
-      // subsystem's planted-bug tests.
-      return all_x_tests_pass(fast_debug_hooks().wrong_r2 ? y.intersect_past()
-                                                          : y.union_past(),
-                              ex, counter);
-
-    case Relation::R2p:
-      // ¬≪(∪⇓Y, ∪⇑X) probed at N_Y — |N_Y| comparisons (the ∪⇑X surface
-      // is not early at N_X nodes; probing N_X is unsound, DESIGN.md §3.3b).
-      return violated_at(y.union_past(), x.union_future(), ey.node_set(),
-                         counter);
-
-    case Relation::R3:
-      // ¬≪(∩⇓Y, ∩⇑X) probed at N_X — |N_X| comparisons (dual of R2').
-      return violated_at(y.intersect_past(), x.intersect_future(),
-                         ex.node_set(), counter);
-
-    case Relation::R3p:
-      // ∀y: ¬≪(↓y, ∩⇑X) — |N_Y| comparisons.
-      return all_y_tests_pass(x.intersect_future(), ey, counter);
-
-    case Relation::R4:
-    case Relation::R4p:
-      // ¬≪(∪⇓Y, ∩⇑X): a violation is visible at both N_X and N_Y
-      // (Key Idea 2), so probe the smaller — min(|N_X|, |N_Y|).
-      return violated_at(y.union_past(), x.intersect_future(),
-                         x_side_smaller ? ex.node_set() : ey.node_set(),
-                         counter);
+      if (r2_holds(vx, vy, local)) mask |= bit(Relation::R2);
+      if (r2p_holds(vx, vy, local)) mask |= bit(Relation::R2p);
+      if (r3_holds(vx, vy, local)) mask |= bit(Relation::R3);
+      if (r3p_holds(vx, vy, local)) mask |= bit(Relation::R3p);
+      if (r4_holds(vx, vy, local)) {
+        mask |= bit(Relation::R4) | bit(Relation::R4p);
+      }
+      bits |= mask << (2 * px + py);
+    }
   }
-  SYNCON_ASSERT(false, "unreachable relation value");
-  return false;
+  counter += local;
+  return RelationSet(bits);
 }
 
 std::uint64_t theorem20_bound(Relation r, std::size_t n_x, std::size_t n_y) {

@@ -28,14 +28,7 @@ const char* to_string(Semantics s) {
 
 std::array<RelationId, 32> all_relation_ids() {
   std::array<RelationId, 32> ids;
-  std::size_t k = 0;
-  for (const Relation r : kAllRelations) {
-    for (const ProxyKind px : {ProxyKind::Begin, ProxyKind::End}) {
-      for (const ProxyKind py : {ProxyKind::Begin, ProxyKind::End}) {
-        ids[k++] = RelationId{r, px, py};
-      }
-    }
-  }
+  for (std::size_t k = 0; k < ids.size(); ++k) ids[k] = relation_at(k);
   return ids;
 }
 
@@ -51,6 +44,16 @@ std::string to_string(const RelationId& id) {
 
 std::ostream& operator<<(std::ostream& os, const RelationId& id) {
   return os << to_string(id);
+}
+
+std::ostream& operator<<(std::ostream& os, const RelationSet& set) {
+  os << '{';
+  const char* sep = "";
+  for (const RelationId& id : set) {
+    os << sep << id;
+    sep = ", ";
+  }
+  return os << '}';
 }
 
 }  // namespace syncon

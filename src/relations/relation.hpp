@@ -4,8 +4,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <string>
 
 #include "nonatomic/interval.hpp"
@@ -51,6 +54,84 @@ struct RelationId {
 
 /// All 32 members of R, ordered by (relation, proxy_x, proxy_y).
 std::array<RelationId, 32> all_relation_ids();
+
+/// Position of `id` in all_relation_ids(): 4·relation + 2·proxy_x + proxy_y
+/// (Begin = 0, End = 1).
+constexpr std::size_t relation_index(const RelationId& id) {
+  return static_cast<std::size_t>(id.relation) * 4 +
+         (id.proxy_x == ProxyKind::End ? 2u : 0u) +
+         (id.proxy_y == ProxyKind::End ? 1u : 0u);
+}
+
+/// Inverse of relation_index: the k-th member of all_relation_ids().
+constexpr RelationId relation_at(std::size_t k) {
+  return RelationId{static_cast<Relation>(k / 4),
+                    (k & 2) != 0 ? ProxyKind::End : ProxyKind::Begin,
+                    (k & 1) != 0 ? ProxyKind::End : ProxyKind::Begin};
+}
+
+/// A subset of R as a 32-bit mask: bit k stands for relation_at(k). The
+/// all-relations answer of one pair (Problem 4 ii) is one such value.
+/// Iteration yields the members in all_relation_ids() order.
+class RelationSet {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = RelationId;
+    using difference_type = std::ptrdiff_t;
+    using reference = RelationId;
+
+    constexpr iterator() = default;
+    constexpr RelationId operator*() const {
+      return relation_at(static_cast<std::size_t>(std::countr_zero(rest_)));
+    }
+    constexpr iterator& operator++() {
+      rest_ &= rest_ - 1;  // drop the lowest member
+      return *this;
+    }
+    constexpr iterator operator++(int) {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend constexpr bool operator==(iterator, iterator) = default;
+
+   private:
+    friend class RelationSet;
+    constexpr explicit iterator(std::uint32_t rest) : rest_(rest) {}
+    std::uint32_t rest_ = 0;
+  };
+
+  constexpr RelationSet() = default;
+  constexpr explicit RelationSet(std::uint32_t bits) : bits_(bits) {}
+
+  constexpr std::uint32_t bits() const { return bits_; }
+  constexpr void insert(const RelationId& id) {
+    bits_ |= std::uint32_t{1} << relation_index(id);
+  }
+  constexpr bool contains(const RelationId& id) const {
+    return (bits_ >> relation_index(id) & 1u) != 0;
+  }
+  constexpr std::size_t size() const {
+    return static_cast<std::size_t>(std::popcount(bits_));
+  }
+  constexpr bool empty() const { return bits_ == 0; }
+
+  constexpr iterator begin() const { return iterator(bits_); }
+  constexpr iterator end() const { return iterator(0); }
+
+  friend constexpr bool operator==(RelationSet, RelationSet) = default;
+
+ private:
+  std::uint32_t bits_ = 0;
+};
+
+static_assert(std::forward_iterator<RelationSet::iterator>);
+
+/// "{R1(L(X), L(Y)), ...}"-style rendering.
+std::ostream& operator<<(std::ostream& os, const RelationSet& set);
 
 /// "R2'(U(X), L(Y))"-style rendering.
 std::string to_string(const RelationId& id);

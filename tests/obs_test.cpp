@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -38,20 +39,81 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (size == 0) size = 1;
+  if (a <= alignof(std::max_align_t)) return std::malloc(size);
+  return std::aligned_alloc(a, (size + a - 1) / a * a);
+}
+
+void* counted_alloc_or_throw(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so the compiler never pairs an inlined free() with the
+// operator new call that produced the pointer.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+constexpr std::align_val_t kDefaultAlign{alignof(std::max_align_t)};
 }  // namespace
 
 // Counting allocator hooks for the zero-allocation tests. The whole binary
-// runs through these; individual tests look at deltas.
+// runs through these; individual tests look at deltas. Every replaceable
+// form is replaced (plain, nothrow, aligned), so each allocation is released
+// by the allocator that made it.
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  return counted_alloc_or_throw(size, kDefaultAlign);
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new[](std::size_t size) {
+  return counted_alloc_or_throw(size, kDefaultAlign);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, kDefaultAlign);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, kDefaultAlign);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(size, align);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  release(p);
+}
 
 namespace syncon {
 namespace {

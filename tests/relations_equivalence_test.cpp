@@ -3,6 +3,9 @@
 // same relations as the quantifier definitions (column 2).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "helpers.hpp"
 #include "nonatomic/cut_timestamps.hpp"
 #include "relations/fast.hpp"
@@ -14,6 +17,62 @@ namespace {
 using testing::disjoint_pair;
 using testing::property_sweep;
 using testing::two_process_message;
+
+TEST(RelationSetTest, IndexRoundTripsThroughAllRelationIds) {
+  // The documented order of R: by relation, then proxy_x, then proxy_y.
+  std::vector<RelationId> order;
+  for (const Relation r : kAllRelations) {
+    for (const ProxyKind px : {ProxyKind::Begin, ProxyKind::End}) {
+      for (const ProxyKind py : {ProxyKind::Begin, ProxyKind::End}) {
+        order.push_back(RelationId{r, px, py});
+      }
+    }
+  }
+  const auto ids = all_relation_ids();
+  ASSERT_EQ(std::vector<RelationId>(ids.begin(), ids.end()), order);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(relation_at(k), order[k]) << k;
+    EXPECT_EQ(relation_index(order[k]), k) << k;
+  }
+}
+
+TEST(RelationSetTest, IteratesInAllRelationIdsOrder) {
+  const auto ids = all_relation_ids();
+  const RelationSet full(~std::uint32_t{0});
+  EXPECT_EQ(std::vector<RelationId>(full.begin(), full.end()),
+            std::vector<RelationId>(ids.begin(), ids.end()));
+
+  const std::uint32_t bits = 0x9a5c3e71u;
+  const RelationSet some(bits);
+  std::vector<RelationId> expected;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if ((bits >> k & 1u) != 0) expected.push_back(ids[k]);
+  }
+  EXPECT_EQ(std::vector<RelationId>(some.begin(), some.end()), expected);
+  EXPECT_EQ(some.size(), static_cast<std::size_t>(std::popcount(bits)));
+  EXPECT_EQ(full.size(), 32u);
+}
+
+TEST(RelationSetTest, InsertContainsSizeAndEquality) {
+  const auto ids = all_relation_ids();
+  RelationSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.begin(), set.end());
+  for (std::size_t k = 0; k < ids.size(); k += 3) {
+    set.insert(ids[k]);
+    set.insert(ids[k]);  // idempotent
+    EXPECT_TRUE(set.contains(ids[k]));
+    EXPECT_EQ(set.size(), k / 3 + 1);
+  }
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(set.contains(ids[k]), k % 3 == 0) << k;
+    EXPECT_EQ((set.bits() >> k & 1u) != 0, k % 3 == 0) << k;
+  }
+  EXPECT_FALSE(set.empty());
+  EXPECT_EQ(set, RelationSet(set.bits()));
+  EXPECT_NE(set, RelationSet());
+}
 
 TEST(RelationsBasicTest, FullyOrderedPairSatisfiesEverything) {
   const Execution exec = two_process_message();
