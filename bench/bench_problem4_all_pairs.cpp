@@ -6,10 +6,15 @@
 //   uncached     EventCuts rebuilt for every pair (no Key Idea 1)
 //   pruned       cached + implication-lattice pruning of the 32 queries
 //   naive        per-pair quantifier evaluation on proxies (pre-paper)
+//   by width     fused vs pruned serial sweeps as interval width grows (the
+//                crossover SyncMonitor's path choice uses)
 //   parallel/T   pruned sweep sharded over a T-thread BatchEvaluator; the
 //                holding sets and total comparison counts are bit-identical
 //                to the serial sweep (verified in the summary below)
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "relations/batch.hpp"
@@ -144,6 +149,38 @@ void BM_AllPairsPrunedParallel(benchmark::State& state) {
   state.SetLabel(std::to_string(threads) + " threads");
 }
 
+// Width sweep: the fused and the pruned serial sweep over intervals of
+// state.range(0) nodes on a 64-process trace (the offline-pairs shape at
+// width 12). Fused pays every holding condition's full |N| scan; pruned pays
+// a per-relation dispatch but skips what the lattice decides.
+RelationEvaluator& width_evaluator(std::size_t nodes) {
+  static std::map<std::size_t, std::unique_ptr<Substrate>> substrates;
+  static std::map<std::size_t, std::unique_ptr<RelationEvaluator>> evals;
+  auto& eval = evals[nodes];
+  if (!eval) {
+    auto& s = substrates[nodes];
+    s = std::make_unique<Substrate>(standard_workload(64, 120),
+                                    standard_spec(nodes, 3), 80, 888);
+    eval = std::make_unique<RelationEvaluator>(*s->ts);
+    for (const NonatomicEvent& iv : s->intervals) eval->add_event(iv);
+  }
+  return *eval;
+}
+
+void BM_AllPairsByWidth(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const bool pruned = state.range(1) != 0;
+  const BatchEvaluator batch(width_evaluator(nodes), nullptr);
+  std::uint64_t comparisons = 0;
+  for (auto _ : state) {
+    const auto result = batch.all_pairs(pruned);
+    comparisons = result.cost.integer_comparisons;
+    benchmark::DoNotOptimize(result.holding_total());
+  }
+  state.counters["comparisons"] = static_cast<double>(comparisons);
+  state.SetLabel(pruned ? "pruned" : "fused");
+}
+
 // Uncached: rebuild the cut timestamps for every pair (ablates Key Idea 1).
 void BM_AllPairsUncached(benchmark::State& state) {
   Substrate& s = substrate();
@@ -205,6 +242,9 @@ BENCHMARK(BM_AllPairsPrunedParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+BENCHMARK(BM_AllPairsByWidth)
+    ->ArgsProduct({{1, 2, 4, 8, 12, 16, 32}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllPairsUncached)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllPairsNaive)->Unit(benchmark::kMillisecond);
 

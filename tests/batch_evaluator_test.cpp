@@ -243,5 +243,38 @@ TEST(BatchEvaluatorTest, MonitorParallelScenarioMatchesSerial) {
   m.use_thread_pool(nullptr);  // detach before the pool dies
 }
 
+// The monitor answers narrow intervals with the fused all_holding (24
+// evaluations per pair) and wide ones with all_holding_pruned; the holding
+// sets are the same either way.
+TEST(BatchEvaluatorTest, MonitorPicksEvaluatorPathByIntervalWidth) {
+  WorkloadConfig cfg;
+  cfg.process_count = 16;
+  cfg.events_per_process = 30;
+  cfg.seed = 37;
+  auto exec = std::make_shared<const Execution>(generate_execution(cfg));
+  for (const std::size_t width : {2u, 12u}) {
+    SCOPED_TRACE(width);
+    SyncMonitor m(exec);
+    Xoshiro256StarStar rng(371);
+    IntervalSpec spec;
+    spec.node_count = width;
+    spec.max_events_per_node = 3;
+    for (int i = 0; i < 8; ++i) {
+      m.add_interval(
+          random_interval(*exec, rng, spec, "I" + std::to_string(i)));
+    }
+    const bool wide = width >= 8;
+    const BatchEvaluator batch(m.evaluator(), nullptr);
+    const auto sweep = m.relations_all_pairs();
+    expect_identical(sweep, batch.all_pairs(/*pruned=*/wide));
+    EXPECT_EQ(sweep.evaluated_total() == 24 * sweep.pairs.size(), !wide);
+    for (const auto& p : batch.all_pairs(/*pruned=*/!wide).pairs) {
+      const RelationSet& holding = p.relations.holding;
+      EXPECT_EQ(m.relations_between(p.x, p.y),
+                std::vector<RelationId>(holding.begin(), holding.end()));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace syncon
